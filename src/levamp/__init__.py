@@ -19,13 +19,8 @@ Layers, bottom up:
     config      JSON run configuration
     cli         command-line presets and sweeps
     selftest    acceptance criteria bundled as runnable checks
-
-Hot loops are compiled with numba when available; set the environment
-variable LEVAMP_DISABLE_NUMBA=1 to force the pure-numpy fallback
-(kernel_backend() reports which one is active).
 """
 
-from ._kernels import backend as kernel_backend
 from .config import ConfigError, RunConfig, config_from_dict, load_config
 from .dynamics import (
     CovarianceError,
@@ -50,7 +45,6 @@ from .harness import (
     NoiseBudget,
     SensitivityCurve,
     SensitivityPoint,
-    TrialResult,
     ensemble_stats,
     fit_displacement_vs_tau,
     fit_k1,
@@ -114,7 +108,6 @@ __all__ = [
     "Segment",
     "SensitivityCurve",
     "SensitivityPoint",
-    "TrialResult",
     "apply_impulse",
     "apply_linear",
     "base_model",
@@ -128,7 +121,6 @@ __all__ = [
     "fit_k1",
     "impulse_from_pulse",
     "kalman_forward",
-    "kernel_backend",
     "kev_c_to_momentum",
     "load_config",
     "momentum_to_kev_c",

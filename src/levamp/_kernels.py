@@ -1,18 +1,9 @@
-"""Batched trial kernels with a numba fast path and a numpy fallback.
+"""Batched trial kernels, vectorized over trials with numpy.
 
 The ensemble hot loops are tiny 2x2 affine recursions repeated for
-thousands of steps across hundreds of trials.  Two interchangeable
-implementations are provided:
-
-* scalar per-trial loops compiled with ``numba.njit`` (cached, nogil,
-  so chunks can run on a thread pool), and
-* vectorized numpy versions that sweep all trials per time step.
-
-Selection happens once at import: the environment variable
-``LEVAMP_DISABLE_NUMBA`` (any value except empty/0/false/no) forces
-the numpy path, as does an unavailable numba.  Both variants use the
-same operation order, and ``benchmarks/bench_kernels.py`` times them
-against each other and checks agreement.
+thousands of steps across hundreds of trials.  Each kernel sweeps all
+trials of a batch per time step; a batch of one serves single-trial
+replay.
 
 Array layout is trial-major: states ``x`` are (m, 2), per-step noise
 ``w`` is (m, n, 2), records ``y`` are (m, n).  All kernels return new
@@ -22,25 +13,8 @@ arrays and never mutate their inputs.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-
-def _numba_disabled() -> bool:
-    flag = os.environ.get("LEVAMP_DISABLE_NUMBA", "").strip().lower()
-    return flag not in ("", "0", "false", "no")
-
-
-_NUMBA_EXC: Exception | None = None
-if _numba_disabled():
-    njit = None
-else:
-    try:
-        from numba import njit
-    except Exception as exc:  # pragma: no cover - depends on environment
-        njit = None
-        _NUMBA_EXC = exc
 
 
 def chol2x2(q: np.ndarray) -> np.ndarray:
@@ -59,11 +33,7 @@ def chol2x2(q: np.ndarray) -> np.ndarray:
     return np.array([[l00, 0.0], [l10, l11]])
 
 
-# ---------------------------------------------------------------------------
-# numpy (vectorized over trials) variants
-
-
-def roll_numpy(x: np.ndarray, f: np.ndarray, l: np.ndarray, w: np.ndarray) -> np.ndarray:
+def roll(x: np.ndarray, f: np.ndarray, l: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Evolve x_{k+1} = F x_k + L w_k for every trial.
 
     x: (m, 2) states, w: (m, n, 2) standard normals for n steps.
@@ -82,7 +52,7 @@ def roll_numpy(x: np.ndarray, f: np.ndarray, l: np.ndarray, w: np.ndarray) -> np
     return np.stack([x0, x1], axis=1)
 
 
-def roll_record_numpy(
+def roll_record(
     x: np.ndarray,
     f: np.ndarray,
     l: np.ndarray,
@@ -91,7 +61,7 @@ def roll_record_numpy(
     sqrt_k: float,
     noise_scale: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Same recursion as :func:`roll_numpy` plus a position record.
+    """Same recursion as :func:`roll` plus a position record.
 
     Sample k reads the state before step k:
     y_k = sqrt_k * Q_k + noise_scale * v_k with v: (m, n) normals.
@@ -114,7 +84,7 @@ def roll_record_numpy(
     return np.stack([x0, x1], axis=1), y
 
 
-def filter_backward_numpy(
+def filter_backward(
     y: np.ndarray, fb: np.ndarray, gains: np.ndarray, sqrt_k: float
 ) -> np.ndarray:
     """Backward-filter means from a record, batched over trials.
@@ -139,95 +109,3 @@ def filter_backward_numpy(
             x1 = new1
     return np.stack([x0, x1], axis=1)
 
-
-# ---------------------------------------------------------------------------
-# scalar per-trial variants, compiled by numba when available
-
-
-def _roll_scalar(x, f, l, w):
-    m = x.shape[0]
-    n = w.shape[1]
-    out = np.empty((m, 2))
-    f00, f01, f10, f11 = f[0, 0], f[0, 1], f[1, 0], f[1, 1]
-    l00, l10, l11 = l[0, 0], l[1, 0], l[1, 1]
-    for i in range(m):
-        x0 = x[i, 0]
-        x1 = x[i, 1]
-        for k in range(n):
-            w0 = w[i, k, 0]
-            w1 = w[i, k, 1]
-            new0 = f00 * x0 + f01 * x1 + l00 * w0
-            new1 = f10 * x0 + f11 * x1 + (l10 * w0 + l11 * w1)
-            x0 = new0
-            x1 = new1
-        out[i, 0] = x0
-        out[i, 1] = x1
-    return out
-
-
-def _roll_record_scalar(x, f, l, w, v, sqrt_k, noise_scale):
-    m, n = v.shape
-    out = np.empty((m, 2))
-    y = np.empty((m, n))
-    f00, f01, f10, f11 = f[0, 0], f[0, 1], f[1, 0], f[1, 1]
-    l00, l10, l11 = l[0, 0], l[1, 0], l[1, 1]
-    for i in range(m):
-        x0 = x[i, 0]
-        x1 = x[i, 1]
-        for k in range(n):
-            y[i, k] = sqrt_k * x0 + noise_scale * v[i, k]
-            w0 = w[i, k, 0]
-            w1 = w[i, k, 1]
-            new0 = f00 * x0 + f01 * x1 + l00 * w0
-            new1 = f10 * x0 + f11 * x1 + (l10 * w0 + l11 * w1)
-            x0 = new0
-            x1 = new1
-        out[i, 0] = x0
-        out[i, 1] = x1
-    return out, y
-
-
-def _filter_backward_scalar(y, fb, gains, sqrt_k):
-    m, n = y.shape
-    out = np.empty((m, 2))
-    b00, b01, b10, b11 = fb[0, 0], fb[0, 1], fb[1, 0], fb[1, 1]
-    for i in range(m):
-        x0 = 0.0
-        x1 = 0.0
-        for j in range(n):
-            innov = y[i, n - 1 - j] - sqrt_k * x0
-            x0 = x0 + gains[j, 0] * innov
-            x1 = x1 + gains[j, 1] * innov
-            if j < n - 1:
-                new0 = b00 * x0 + b01 * x1
-                new1 = b10 * x0 + b11 * x1
-                x0 = new0
-                x1 = new1
-        out[i, 0] = x0
-        out[i, 1] = x1
-    return out
-
-
-if njit is not None:
-    roll_numba = njit(cache=True, nogil=True)(_roll_scalar)
-    roll_record_numba = njit(cache=True, nogil=True)(_roll_record_scalar)
-    filter_backward_numba = njit(cache=True, nogil=True)(_filter_backward_scalar)
-else:
-    roll_numba = None
-    roll_record_numba = None
-    filter_backward_numba = None
-
-
-if roll_numba is not None:
-    roll = roll_numba
-    roll_record = roll_record_numba
-    filter_backward = filter_backward_numba
-else:
-    roll = roll_numpy
-    roll_record = roll_record_numpy
-    filter_backward = filter_backward_numpy
-
-
-def backend() -> str:
-    """Name of the active kernel backend, "numba" or "numpy"."""
-    return "numpy" if roll_numba is None else "numba"

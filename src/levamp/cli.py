@@ -277,10 +277,14 @@ def main(argv=None) -> int:
             elif preset == "fig5-sensitivity":
                 _run_sensitivity(args, cfg, seed, workers, "fig5-sensitivity")
         elif args.command == "sweep-r":
+            if not (math.isfinite(args.tau_ns) and args.tau_ns >= 0.0):
+                raise ConfigError(
+                    f"config key 'tau_ns' must be finite and >= 0, got {args.tau_ns}"
+                )
             _run_scaling(args, cfg, seed, workers, "sweep-r",
                          cfg.r_grid, [args.tau_ns / 1e9])
         elif args.command == "sweep-tau":
-            if args.r < 1.0 or args.r > 6.0:
+            if not (1.0 <= args.r <= 6.0):
                 raise ConfigError(f"config key 'r' must be in [1, 6], got {args.r}")
             _run_scaling(args, cfg, seed, workers, "sweep-tau",
                          [args.r], [t / 1e9 for t in cfg.tau_grid_ns])

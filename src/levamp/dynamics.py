@@ -179,12 +179,31 @@ def _check_dt(model: DynamicsModel, dt: float) -> None:
 
 
 def _check_pd(v: np.ndarray, t: float) -> None:
+    # A NaN or infinite entry makes det NaN or infinite, so one scalar
+    # test covers all four entries; it also rejects a det that overflows.
     det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-    if not (v[0, 0] > 0.0 and v[1, 1] > 0.0 and det > 0.0 and np.all(np.isfinite(v))):
+    if not (v[0, 0] > 0.0 and v[1, 1] > 0.0 and det > 0.0 and math.isfinite(det)):
         raise CovarianceError(
             f"covariance lost positive definiteness at t = {t:.6e} s: "
             f"diag = ({v[0, 0]:.3e}, {v[1, 1]:.3e}), det = {det:.3e}"
         )
+
+
+def _joseph_update(cov: np.ndarray, sqrt_k: float, inv_dt: float):
+    """Condition a covariance on one record sample, in Joseph form.
+
+    For y = sqrt_k Q + xi / sqrt(dt) returns (gain, innovation
+    variance, symmetrized posterior covariance); the caller moves the
+    mean by gain times the innovation.
+    """
+    s_var = sqrt_k * sqrt_k * cov[0, 0] + inv_dt
+    gain = (sqrt_k / s_var) * cov[:, 0]
+    imkc = np.eye(2)
+    imkc[:, 0] -= gain * sqrt_k
+    cov = imkc @ cov @ imkc.T + inv_dt * np.outer(gain, gain)
+    # 0.5 (C + C^T) keeps C's diagonal, so only the off-diagonal is averaged.
+    cov[0, 1] = cov[1, 0] = 0.5 * (cov[0, 1] + cov[1, 0])
+    return gain, s_var, cov
 
 
 def propagate(
@@ -253,16 +272,10 @@ def propagate(
 
     for k in range(n):
         if measured:
-            # Innovation variance of the pre-update record value.
-            s_var = model.meas_rate * cov[0, 0] + inv_dt
+            gain, s_var, cov = _joseph_update(cov, sqrt_k, inv_dt)
             nu = math.sqrt(s_var) * rng.standard_normal()
             samples[k] = sqrt_k * mean[0] + nu
-            gain = (sqrt_k / s_var) * cov[:, 0]
             mean = mean + gain * nu
-            # Joseph-form conditioning keeps the update symmetric PD.
-            imkc = np.eye(2)
-            imkc[:, 0] -= gain * sqrt_k
-            cov = imkc @ cov @ imkc.T + inv_dt * np.outer(gain, gain)
         mean = f @ mean
         cov = f @ cov @ f.T + qd
         _check_pd(cov, t0 + (k + 1) * dt)

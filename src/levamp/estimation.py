@@ -30,7 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import CovarianceError, DynamicsModel, base_model, transition
+from .dynamics import (
+    DynamicsModel,
+    _check_dt,
+    _check_pd,
+    _joseph_update,
+    base_model,
+    transition,
+)
 from .records import MeasurementRecord
 from .state import _as_cov, _as_mean
 
@@ -109,31 +116,10 @@ class FilterTrajectory:
                 )
 
 
-def _check_dt(model: DynamicsModel, dt: float) -> None:
-    if dt > model.max_dt * (1.0 + 1e-9):
-        raise ValueError(
-            f"record dt too coarse for the model: require dt <= "
-            f"{model.max_dt:.6e} s, got {dt:.6e} s"
-        )
-
-
 def _measurement_update(mean, cov, y, sqrt_k, inv_dt):
-    """Exact conditional update for one record sample (Joseph form)."""
-    s_var = sqrt_k * sqrt_k * cov[0, 0] + inv_dt
-    gain = (sqrt_k / s_var) * cov[:, 0]
-    mean = mean + gain * (y - sqrt_k * mean[0])
-    imkc = np.eye(2)
-    imkc[:, 0] -= gain * sqrt_k
-    cov = imkc @ cov @ imkc.T + inv_dt * np.outer(gain, gain)
-    return mean, 0.5 * (cov + cov.T)
-
-
-def _pd_or_raise(cov, t):
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    if not (cov[0, 0] > 0.0 and cov[1, 1] > 0.0 and det > 0.0):
-        raise CovarianceError(
-            f"filter covariance lost positive definiteness at t = {t:.6e} s"
-        )
+    """Exact conditional update of (mean, cov) on one record sample."""
+    gain, _, cov = _joseph_update(cov, sqrt_k, inv_dt)
+    return mean + gain * (y - sqrt_k * mean[0]), cov
 
 
 def kalman_forward(
@@ -175,7 +161,7 @@ def kalman_forward(
             cov = f @ cov @ f.T + qd
         if model.meas_rate > 0.0:
             mean, cov = _measurement_update(mean, cov, record.samples[k], sqrt_k, inv_dt)
-        _pd_or_raise(cov, times[k])
+        _check_pd(cov, times[k])
         means[k] = mean
         covs[k] = cov
     return FilterTrajectory(t=times, means=means, covs=covs, direction="forward")
@@ -224,7 +210,7 @@ def retrodict(
     for k in range(n - 1, -1, -1):
         if record.gate[k] and model.meas_rate > 0.0:
             mean, cov = _measurement_update(mean, cov, record.samples[k], sqrt_k, inv_dt)
-            _pd_or_raise(cov, record.t0 + k * record.dt)
+            _check_pd(cov, record.t0 + k * record.dt)
         if k > 0:
             mean = finv @ mean
             cov = finv @ cov @ finv.T + qrev
@@ -262,13 +248,7 @@ def retrodiction_schedule(
     gains = np.empty((n, 2))
     cov = prior_scale * np.eye(2)
     for j in range(n):
-        s_var = sqrt_k * sqrt_k * cov[0, 0] + inv_dt
-        gain = (sqrt_k / s_var) * cov[:, 0]
-        gains[j] = gain
-        imkc = np.eye(2)
-        imkc[:, 0] -= gain * sqrt_k
-        cov = imkc @ cov @ imkc.T + inv_dt * np.outer(gain, gain)
-        cov = 0.5 * (cov + cov.T)
+        gains[j], _, cov = _joseph_update(cov, sqrt_k, inv_dt)
         if j < n - 1:
             cov = finv @ cov @ finv.T + qrev
     return finv, gains, sqrt_k, cov
@@ -293,18 +273,14 @@ def riccati_steady_state(model: EstimationModel, steps_per_period: int = 200) ->
     for _ in range(100_000):
         acc = np.zeros((2, 2))
         for _ in range(steps_per_period):
-            s_var = sqrt_k * sqrt_k * cov[0, 0] + inv_dt
-            gain = (sqrt_k / s_var) * cov[:, 0]
-            imkc = np.eye(2)
-            imkc[:, 0] -= gain * sqrt_k
-            cov = imkc @ cov @ imkc.T + inv_dt * np.outer(gain, gain)
+            _, _, cov = _joseph_update(cov, sqrt_k, inv_dt)
             acc += cov
             cov = f @ cov @ f.T + qd
         avg = acc / steps_per_period
         if not np.all(np.isfinite(avg)) or avg[0, 0] > 1e12:
             raise RuntimeError("steady-state covariance iteration diverged")
         if previous is not None and np.max(np.abs(avg - previous)) < 1e-10:
-            return 0.5 * (avg + avg.T)
+            return avg
         previous = avg
     raise RuntimeError(
         "steady-state covariance iteration did not converge; "

@@ -61,16 +61,6 @@ def model_for_segment(params: OscillatorParams, segment: Segment) -> DynamicsMod
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    """Outcome of a single simulated trial."""
-
-    outcome: np.ndarray
-    true_state: np.ndarray
-    trial_index: int
-    seed: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class Ensemble:
     """All trials of one (schedule, params, seed) configuration.
 
@@ -103,18 +93,6 @@ class Ensemble:
         """
         return 0 if self.mode == "amplified" else 1
 
-    @property
-    def trials(self) -> list[TrialResult]:
-        return [
-            TrialResult(
-                outcome=self.outcomes[i].copy(),
-                true_state=self.truths[i].copy(),
-                trial_index=i,
-                seed=(self.master_seed, i),
-            )
-            for i in range(self.n_trials)
-        ]
-
 
 @dataclass(frozen=True)
 class _SegmentPlan:
@@ -131,14 +109,13 @@ def _plan_segments(
     schedule: ProtocolSchedule,
     params: OscillatorParams,
     dt_per_period: int,
-    include_hold: bool,
 ) -> list[_SegmentPlan]:
     violations = validate(schedule)
     if violations:
         raise ValueError("invalid schedule: " + "; ".join(violations))
     plans: list[_SegmentPlan] = []
     for t_begin, _, seg in schedule.boundaries():
-        if seg.kind == "feedback_hold" and not include_hold:
+        if seg.kind == "feedback_hold":
             continue
         if seg.kind == "kick":
             plans.append(_SegmentPlan("kick", None, 0, 0.0, t_begin, seg.kick_dp, False))
@@ -161,76 +138,70 @@ def _trial_init_std(params: OscillatorParams) -> float:
     return math.sqrt(2.0 * params.n_init + 1.0)
 
 
-def _draw_trial_noise(rng, plans):
-    """Draw every random number of one trial in the fixed order.
-
-    Order: 2 normals for the initial state, then per segment (in
-    timeline order) first the process normals, then the record
-    normals.  The order depends only on the schedule, never on data.
-    """
-    init = rng.standard_normal(2)
-    per_segment = []
+def _segment_ops(plans: list[_SegmentPlan]) -> list:
+    """Kernel operands (F, L, sqrt_k, noise_scale) per segment, None for kicks."""
+    ops = []
     for plan in plans:
         if plan.kind == "kick":
-            per_segment.append((None, None))
+            ops.append(None)
             continue
-        w = rng.standard_normal((plan.n_steps, 2)) if plan.model.diffusion_p > 0.0 else None
-        v = rng.standard_normal(plan.n_steps) if plan.model.meas_rate > 0.0 else None
-        per_segment.append((w, v))
-    return init, per_segment
+        f, qd = transition(plan.model, plan.dt)
+        ops.append(
+            (f, _kernels.chol2x2(qd), math.sqrt(plan.model.meas_rate), 1.0 / math.sqrt(plan.dt))
+        )
+    return ops
 
 
-def _simulate_chunk(start, stop, plans, master_seed, init_std, ops):
-    """Simulate trials [start, stop): truths at t_zero plus readout records."""
-    m = stop - start
-    inits = np.empty((m, 2))
-    seg_w = []
-    seg_v = []
+def _simulate_chunk(start, stop, plans, ops, master_seed, init_std):
+    """Simulate trials [start, stop).
+
+    Returns the true states at t_zero, (m, 2), and one (plan, records)
+    pair per measured segment in timeline order, records being (m, n).
+
+    Each trial draws all of its normals in one call, laid out as 2 for
+    the initial state, then per segment in timeline order first the
+    process normals (n, 2), then the record normals (n).  The layout
+    depends only on the schedule, never on data.
+    """
+    layout = []
+    total = 2
     for plan in plans:
-        if plan.kind == "kick" or plan.model.diffusion_p <= 0.0:
-            seg_w.append(None)
-        else:
-            seg_w.append(np.empty((m, plan.n_steps, 2)))
-        if plan.kind == "kick" or plan.model.meas_rate <= 0.0:
-            seg_v.append(None)
-        else:
-            seg_v.append(np.empty((m, plan.n_steps)))
-    for i in range(m):
-        rng = np.random.default_rng([master_seed, start + i])
-        init, noise = _draw_trial_noise(rng, plans)
-        inits[i] = init
-        for j, (w, v) in enumerate(noise):
-            if w is not None:
-                seg_w[j][i] = w
-            if v is not None:
-                seg_v[j][i] = v
+        w_at = v_at = None
+        if plan.kind != "kick":
+            if plan.model.diffusion_p > 0.0:
+                w_at, total = total, total + 2 * plan.n_steps
+            if plan.model.meas_rate > 0.0:
+                v_at, total = total, total + plan.n_steps
+        layout.append((w_at, v_at))
 
-    x = init_std * inits
+    m = stop - start
+    z = np.empty((m, total))
+    for i in range(m):
+        np.random.default_rng([master_seed, start + i]).standard_normal(out=z[i])
+
+    x = init_std * z[:, :2]
     truths = None
-    readout = None
-    zeros2 = None
-    for j, plan in enumerate(plans):
+    records = []
+    for plan, op, (w_at, v_at) in zip(plans, ops, layout):
         if plan.kind == "kick":
-            x = x.copy()
             x[:, 1] += plan.kick_dp
             continue
         if plan.is_readout:
             truths = x.copy()
-        f, l, sqrt_k, noise_scale = ops[j]
-        w = seg_w[j]
-        if w is None:
-            if zeros2 is None or zeros2.shape[1] != plan.n_steps:
-                zeros2 = np.zeros((m, plan.n_steps, 2))
-            w = zeros2
-        if seg_v[j] is not None:
-            x, y = _kernels.roll_record(x, f, l, w, seg_v[j], sqrt_k, noise_scale)
-            if plan.is_readout:
-                readout = y
+        f, l, sqrt_k, noise_scale = op
+        n = plan.n_steps
+        if w_at is None:
+            w = np.broadcast_to(0.0, (m, n, 2))
         else:
+            w = z[:, w_at:w_at + 2 * n].reshape(m, n, 2)
+        if v_at is None:
             x = _kernels.roll(x, f, l, w)
+        else:
+            x, y = _kernels.roll_record(x, f, l, w, z[:, v_at:v_at + n], sqrt_k, noise_scale)
+            records.append((plan, y))
     if truths is None:
         truths = x.copy()
-    return truths, readout
+    return truths, records
 
 
 def run_ensemble(
@@ -241,42 +212,19 @@ def run_ensemble(
     *,
     dt_per_period: int = DEFAULT_DT_PER_PERIOD,
     workers: int | None = None,
-    init_mode: str = "direct",
 ) -> Ensemble:
     """Run n_trials of the schedule and retrodict every outcome.
 
-    init_mode "direct" samples the initial state from the thermal
-    preparation (the default; what the acceptance checks use).
-    "servo" instead simulates the feedback_hold segment explicitly
-    with cold damping approximated as deterministic velocity drag on
-    the true trajectory.
-
-    The result is bit-identical for any ``workers`` value.
+    Each trial starts from the thermal preparation at the end of the
+    feedback hold.  The result is bit-identical for any ``workers`` value.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    if init_mode not in ("direct", "servo"):
-        raise ValueError("init_mode must be 'direct' or 'servo'")
-    plans = _plan_segments(schedule, params, dt_per_period, include_hold=init_mode == "servo")
-    readout_plan = [p for p in plans if p.is_readout]
-    if not readout_plan:
+    plans = _plan_segments(schedule, params, dt_per_period)
+    ro = next((p for p in plans if p.is_readout), None)
+    if ro is None:
         raise ValueError("schedule has no readout segment")
-    ro = readout_plan[0]
-
-    ops = []
-    for plan in plans:
-        if plan.kind == "kick":
-            ops.append(None)
-            continue
-        f, qd = transition(plan.model, plan.dt)
-        ops.append(
-            (
-                f,
-                _kernels.chol2x2(qd),
-                math.sqrt(plan.model.meas_rate),
-                1.0 / math.sqrt(plan.dt),
-            )
-        )
+    ops = _segment_ops(plans)
 
     est_model = readout_model(params)
     finv, gains, sqrt_k, est_cov = retrodiction_schedule(est_model, ro.dt, ro.n_steps)
@@ -286,9 +234,8 @@ def run_ensemble(
     truths = np.empty((n_trials, 2))
 
     def work(start: int, stop: int) -> None:
-        chunk_truths, readout = _simulate_chunk(
-            start, stop, plans, master_seed, init_std, ops
-        )
+        chunk_truths, records = _simulate_chunk(start, stop, plans, ops, master_seed, init_std)
+        readout = next(y for plan, y in records if plan is ro)
         est = _kernels.filter_backward(readout, finv, gains, sqrt_k)
         outcomes[start:stop] = est
         truths[start:stop] = chunk_truths
@@ -329,53 +276,25 @@ def simulate_trial(
     trial_index: int,
     *,
     dt_per_period: int = DEFAULT_DT_PER_PERIOD,
-    init_mode: str = "direct",
 ) -> tuple[np.ndarray, list[MeasurementRecord]]:
     """Re-run one trial, returning its true state at t_zero and records.
 
-    Uses the same noise stream and kernels as :func:`run_ensemble`, so
-    the records fed through :func:`levamp.estimation.estimate_trial_outcome`
-    reproduce that trial's ensemble outcome (up to arithmetic
-    reordering in the filters).
+    This is :func:`run_ensemble`'s simulation at a batch of one, so the
+    truth equals that trial's ensemble row bit for bit, and the records
+    fed through :func:`levamp.estimation.estimate_trial_outcome`
+    reproduce its outcome (up to arithmetic reordering in the filters).
     """
-    plans = _plan_segments(schedule, params, dt_per_period, include_hold=init_mode == "servo")
-    rng = np.random.default_rng([master_seed, trial_index])
-    init, noise = _draw_trial_noise(rng, plans)
-    x = _trial_init_std(params) * init
-
-    records: list[MeasurementRecord] = []
-    truth = None
-    for plan, (w, v) in zip(plans, noise):
-        if plan.kind == "kick":
-            x = x.copy()
-            x[1] += plan.kick_dp
-            continue
-        if plan.is_readout:
-            truth = x.copy()
-        f, qd = transition(plan.model, plan.dt)
-        l = _kernels.chol2x2(qd)
-        if w is None:
-            w = np.zeros((plan.n_steps, 2))
-        xb = x[None, :]
-        if v is not None:
-            xb, y = _kernels.roll_record(
-                xb, f, l, w[None], v[None], math.sqrt(plan.model.meas_rate),
-                1.0 / math.sqrt(plan.dt),
-            )
-            records.append(
-                MeasurementRecord(
-                    t0=plan.t_begin,
-                    dt=plan.dt,
-                    samples=y[0],
-                    gate=np.ones(plan.n_steps, dtype=bool),
-                )
-            )
-        else:
-            xb = _kernels.roll(xb, f, l, w[None])
-        x = xb[0]
-    if truth is None:
-        truth = x.copy()
-    return truth, records
+    plans = _plan_segments(schedule, params, dt_per_period)
+    truths, records = _simulate_chunk(
+        trial_index, trial_index + 1, plans, _segment_ops(plans), master_seed,
+        _trial_init_std(params),
+    )
+    return truths[0], [
+        MeasurementRecord(
+            t0=plan.t_begin, dt=plan.dt, samples=y[0], gate=np.ones(plan.n_steps, dtype=bool)
+        )
+        for plan, y in records
+    ]
 
 
 def run_schedule_noiseless(
@@ -394,7 +313,7 @@ def run_schedule_noiseless(
     (Q0, P0) with kick dP to (-Q0 + r dP, -P0) and returns the
     covariance to its initial value.
     """
-    plans = _plan_segments(schedule, params, dt_per_period, include_hold=False)
+    plans = _plan_segments(schedule, params, dt_per_period)
     for plan in plans:
         if plan.is_readout and stop_at_zero:
             break

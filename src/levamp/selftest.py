@@ -322,7 +322,7 @@ _WARMED = False
 
 
 def warm_kernels(params: OscillatorParams | None = None) -> None:
-    """Trigger kernel compilation outside the timed criteria."""
+    """Fill lazy caches outside the timed criteria."""
     global _WARMED
     if _WARMED:
         return

@@ -149,11 +149,18 @@ def test_bad_config_exits_with_usage_error(tmp_path, capsys):
         ("run", "fig3-amplified", "--trials", "1"),
         ("sweep-tau", "--r", "7"),
         ("run", "no-such-preset"),
+        ("sweep-tau", "--r", "nan"),
+        ("sweep-r", "--tau-ns", "nan"),
+        ("sweep-r", "--tau-ns", "-5"),
     ],
 )
-def test_invalid_requests_exit_with_usage_error(argv, tmp_path):
+def test_invalid_requests_exit_with_usage_error(argv, tmp_path, capsys):
     rc = run_cli(*argv, "--out", str(tmp_path / "y"))
     assert rc == 1
+    flag = next((a for a in argv if a.startswith("--")), None)
+    if flag is not None:
+        key = {"--trials": "n_trials", "--r": "r", "--tau-ns": "tau_ns"}[flag]
+        assert f"config key '{key}'" in capsys.readouterr().err
 
 
 def test_blocked_output_path_is_a_runtime_failure(tmp_path, capsys):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from levamp.dynamics import (
+    CovarianceError,
     DynamicsModel,
+    _check_pd,
     base_model,
     propagate,
     soft_model,
@@ -200,6 +202,17 @@ def test_propagate_rejects_bad_steps():
             st, MEASURED, 100.5 * (PERIOD / 200.0), PERIOD / 200.0,
             rng=np.random.default_rng(0),
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pd_check_rejects_any_non_finite_entry(bad):
+    good = np.array([[2.0, 0.3], [0.3, 1.5]])
+    _check_pd(good, 0.0)
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        v = good.copy()
+        v[i, j] = bad
+        with pytest.raises(CovarianceError, match="positive definiteness"):
+            _check_pd(v, 0.0)
 
 
 def test_base_and_soft_model_rates():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from levamp._kernels import filter_backward_numpy
+from levamp._kernels import filter_backward
 from levamp.dynamics import base_model, propagate, transition
 from levamp.estimation import (
     FilterState,
@@ -259,7 +259,7 @@ def test_precomputed_schedule_reproduces_retrodiction():
     rec = MeasurementRecord(0.0, DT, y, np.ones(n, dtype=bool))
     ref = retrodict(rec, MODEL, 0.0)
     finv, gains, sqrt_k, cov_target = retrodiction_schedule(MODEL, DT, n)
-    fast = filter_backward_numpy(y[None, :], finv, gains, sqrt_k)[0]
+    fast = filter_backward(y[None, :], finv, gains, sqrt_k)[0]
     assert np.max(np.abs(fast - ref.estimate)) < 1e-12
     assert np.max(np.abs(cov_target - ref.cov)) < 1e-12
     assert sqrt_k == pytest.approx(math.sqrt(MODEL.meas_rate), rel=1e-15)

@@ -1,20 +1,12 @@
-"""Batched trajectory kernels: backend agreement and record statistics."""
+"""Batched trajectory kernels: per-trial recursions and record statistics."""
 
 import math
 
 import numpy as np
 import pytest
 
-from levamp import _kernels
-from levamp._kernels import (
-    backend,
-    chol2x2,
-    filter_backward_numpy,
-    roll_numpy,
-    roll_record_numpy,
-)
+from levamp._kernels import chol2x2, filter_backward, roll, roll_record
 
-HAVE_NUMBA = backend() == "numba"
 RNG = np.random.default_rng(7321)
 
 M, N = 192, 310
@@ -50,7 +42,7 @@ def test_chol2x2_handles_semidefinite_corners():
 
 
 def test_roll_matches_per_trial_recursion():
-    out = roll_numpy(X0, F_STEP, L_STEP, W)
+    out = roll(X0, F_STEP, L_STEP, W)
     for i in (0, M // 2, M - 1):
         x = X0[i].copy()
         for k in range(N):
@@ -59,7 +51,7 @@ def test_roll_matches_per_trial_recursion():
 
 
 def test_roll_record_reads_state_before_each_step():
-    out, y = roll_record_numpy(X0, F_STEP, L_STEP, W, V, SQRT_K, NOISE_SCALE)
+    out, y = roll_record(X0, F_STEP, L_STEP, W, V, SQRT_K, NOISE_SCALE)
     i = 3
     x = X0[i].copy()
     for k in range(N):
@@ -72,7 +64,7 @@ def test_roll_record_reads_state_before_each_step():
 
 def test_filter_backward_matches_per_trial_recursion():
     fb = np.linalg.inv(F_STEP)
-    est = filter_backward_numpy(V, fb, GAINS, SQRT_K)
+    est = filter_backward(V, fb, GAINS, SQRT_K)
     for i in (0, M - 1):
         x = np.zeros(2)
         for j in range(N):
@@ -83,35 +75,12 @@ def test_filter_backward_matches_per_trial_recursion():
         assert np.allclose(est[i], x, atol=1e-12)
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="compiled backend not active")
-def test_compiled_roll_agrees_bit_for_bit():
-    a = _kernels.roll(X0.copy(), F_STEP, L_STEP, W)
-    b = roll_numpy(X0.copy(), F_STEP, L_STEP, W)
-    assert np.array_equal(a, b)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="compiled backend not active")
-def test_compiled_roll_record_agrees_bit_for_bit():
-    xa, ya = _kernels.roll_record(X0.copy(), F_STEP, L_STEP, W, V, SQRT_K, NOISE_SCALE)
-    xb, yb = roll_record_numpy(X0.copy(), F_STEP, L_STEP, W, V, SQRT_K, NOISE_SCALE)
-    assert np.array_equal(xa, xb)
-    assert np.array_equal(ya, yb)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="compiled backend not active")
-def test_compiled_filter_agrees_bit_for_bit():
-    fb = np.linalg.inv(F_STEP)
-    a = _kernels.filter_backward(V, fb, GAINS, SQRT_K)
-    b = filter_backward_numpy(V, fb, GAINS, SQRT_K)
-    assert np.array_equal(a, b)
-
-
 def test_chunked_batches_reproduce_the_full_batch():
     """Trials are independent, so splitting the batch cannot change bits."""
-    whole = roll_numpy(X0, F_STEP, L_STEP, W)
+    whole = roll(X0, F_STEP, L_STEP, W)
     split = np.vstack(
-        [roll_numpy(X0[:70], F_STEP, L_STEP, W[:70]),
-         roll_numpy(X0[70:], F_STEP, L_STEP, W[70:])]
+        [roll(X0[:70], F_STEP, L_STEP, W[:70]),
+         roll(X0[70:], F_STEP, L_STEP, W[70:])]
     )
     assert np.array_equal(whole, split)
 
@@ -123,10 +92,10 @@ def test_all_noise_off_collapses_the_ensemble():
     x0 = np.tile([0.9, -0.4], (M, 1))
     wz = np.zeros((M, N, 2))
     vz = np.zeros((M, N))
-    xs, ys = roll_record_numpy(x0, F_STEP, L_STEP, wz, vz, SQRT_K, NOISE_SCALE)
+    xs, ys = roll_record(x0, F_STEP, L_STEP, wz, vz, SQRT_K, NOISE_SCALE)
     assert np.all(xs == xs[0])
     assert np.all(ys == ys[0])
-    est = filter_backward_numpy(ys, np.linalg.inv(F_STEP), GAINS, SQRT_K)
+    est = filter_backward(ys, np.linalg.inv(F_STEP), GAINS, SQRT_K)
     assert np.all(est == est[0])
 
 
@@ -141,7 +110,7 @@ def test_record_gain_regression_recovers_sqrt_meas_rate():
     x0[:, 0] = 10.0 * rng.standard_normal(n_trials)
     q_true = x0[:, 0].copy()
     v = rng.standard_normal((n_trials, 1))
-    _, y = roll_record_numpy(
+    _, y = roll_record(
         x0, np.eye(2), np.zeros((2, 2)), np.zeros((n_trials, 1, 2)),
         v, math.sqrt(meas_rate), 1.0 / math.sqrt(dt),
     )
