@@ -20,8 +20,9 @@ import sys
 from pathlib import Path
 
 from . import __version__, selftest as selftest_mod
-from .config import ConfigError, RunConfig, load_config
+from .config import R_MAX, ConfigError, RunConfig, load_config
 from .harness import (
+    MIN_STATS_TRIALS,
     derive_seed,
     ensemble_stats,
     fit_displacement_vs_tau,
@@ -34,7 +35,7 @@ from .harness import (
     write_sensitivity_csv,
 )
 from .params import momentum_to_kev_c
-from .protocol import build_amplified, build_conventional, schedule_to_json
+from .protocol import build_for_ratio, schedule_to_json
 
 DEFAULT_SEED = 20260819
 DEFAULT_WORKERS = 4
@@ -44,7 +45,6 @@ PRESETS = (
     "fig3-amplified",
     "fig4-scaling",
     "fig5-sensitivity",
-    "selftest",
 )
 
 
@@ -88,15 +88,19 @@ def _build_parser() -> _Parser:
     common(sens)
 
     self_p = sub.add_parser("selftest", help="run the full acceptance suite")
-    common(self_p)
+    self_p.add_argument("--config", default=None, help="JSON config file")
     return parser
 
 
 def _resolve(args) -> tuple[RunConfig, int, int]:
     cfg = load_config(args.config)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"config key 'seed' must be >= 0, got {args.seed}")
     if args.trials is not None:
-        if args.trials < 2:
-            raise ConfigError(f"config key 'n_trials' must be >= 2, got {args.trials}")
+        if args.trials < MIN_STATS_TRIALS:
+            raise ConfigError(
+                f"config key 'n_trials' must be >= {MIN_STATS_TRIALS}, got {args.trials}"
+            )
         cfg = RunConfig(
             params=cfg.params,
             n_trials=args.trials,
@@ -156,10 +160,7 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, seed: int,
 
 
 def _schedule_for(cfg: RunConfig, r: float, tau_s: float):
-    readout = cfg.readout_periods * cfg.params.period_s
-    if abs(r - 1.0) < 1e-9:
-        return build_conventional(cfg.params, tau=tau_s, readout_duration=readout)
-    return build_amplified(cfg.params, r=r, tau=tau_s, readout_duration=readout)
+    return build_for_ratio(cfg.params, r, tau_s, cfg.readout_periods * cfg.params.period_s)
 
 
 def _run_fig3(args, cfg, seed, workers, amplified: bool) -> dict:
@@ -248,11 +249,6 @@ def _run_sensitivity(args, cfg, seed, workers, name: str) -> dict:
     return results
 
 
-def _run_selftest(args, cfg, seed, workers) -> int:
-    results = selftest_mod.run_all(cfg.params)
-    return 0 if all(r.passed for r in results) else 2
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -262,11 +258,12 @@ def main(argv=None) -> int:
         return 1
 
     try:
+        if args.command == "selftest":
+            results = selftest_mod.run_all(load_config(args.config).params)
+            return 0 if all(r.passed for r in results) else 2
         cfg, seed, workers = _resolve(args)
         if args.command == "run":
             preset = args.preset
-            if preset == "selftest":
-                return _run_selftest(args, cfg, seed, workers)
             if preset == "fig3-conventional":
                 _run_fig3(args, cfg, seed, workers, amplified=False)
             elif preset == "fig3-amplified":
@@ -284,18 +281,13 @@ def main(argv=None) -> int:
             _run_scaling(args, cfg, seed, workers, "sweep-r",
                          cfg.r_grid, [args.tau_ns / 1e9])
         elif args.command == "sweep-tau":
-            if not (1.0 <= args.r <= 6.0):
-                raise ConfigError(f"config key 'r' must be in [1, 6], got {args.r}")
+            if not (1.0 <= args.r <= R_MAX):
+                raise ConfigError(f"config key 'r' must be in [1, {R_MAX:g}], got {args.r}")
             _run_scaling(args, cfg, seed, workers, "sweep-tau",
                          [args.r], [t / 1e9 for t in cfg.tau_grid_ns])
         elif args.command == "sensitivity":
             _run_sensitivity(args, cfg, seed, workers, "sensitivity")
-        elif args.command == "selftest":
-            return _run_selftest(args, cfg, seed, workers)
-    except (ConfigError, _UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures: I/O, numerical aborts

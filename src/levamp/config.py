@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from .harness import MIN_STATS_TRIALS
 from .params import OscillatorParams, kev_c_to_momentum
 
 # Squeezing beyond this is outside the validated regime: the soft trap
@@ -81,7 +82,7 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
                 continue
             _require(isinstance(value, (int, float)) and not isinstance(value, bool),
                      key, "a number or null", value)
-            _require(float(value) > 0.0, key, "> 0 or null", value)
+            _require(0.0 < float(value) < math.inf, key, "finite and > 0, or null", value)
             param_kwargs["p_zp_override"] = kev_c_to_momentum(float(value))
             continue
         _require(isinstance(value, (int, float)) and not isinstance(value, bool),
@@ -100,7 +101,7 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
     n_trials = run["n_trials"]
     _require(isinstance(n_trials, int) and not isinstance(n_trials, bool),
              "n_trials", "an integer", n_trials)
-    _require(n_trials >= 2, "n_trials", ">= 2", n_trials)
+    _require(n_trials >= MIN_STATS_TRIALS, "n_trials", f">= {MIN_STATS_TRIALS}", n_trials)
 
     r_grid = run["r_grid"]
     _require(isinstance(r_grid, (list, tuple)) and len(r_grid) >= 1,
@@ -111,6 +112,7 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
         _require(1.0 <= float(r), "r_grid", "entries >= 1", r)
         _require(float(r) <= R_MAX, "r_grid", f"entries <= {R_MAX:g} (validated regime)", r)
     r_grid = tuple(float(r) for r in r_grid)
+    _require(len(set(r_grid)) == len(r_grid), "r_grid", "free of duplicates", list(r_grid))
 
     tau_grid = run["tau_grid_ns"]
     _require(isinstance(tau_grid, (list, tuple)) and len(tau_grid) >= 1,
@@ -118,13 +120,14 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
     for tau in tau_grid:
         _require(isinstance(tau, (int, float)) and not isinstance(tau, bool),
                  "tau_grid_ns", "an array of numbers", tau_grid)
-        _require(float(tau) >= 0.0, "tau_grid_ns", "entries >= 0", tau)
+        _require(0.0 <= float(tau) < math.inf, "tau_grid_ns", "finite entries >= 0", tau)
     tau_grid = tuple(float(t) for t in tau_grid)
 
     readout_periods = run["readout_periods"]
     _require(isinstance(readout_periods, (int, float)) and not isinstance(readout_periods, bool),
              "readout_periods", "a number", readout_periods)
-    _require(float(readout_periods) >= 1.0, "readout_periods", ">= 1", readout_periods)
+    _require(1.0 <= float(readout_periods) < math.inf, "readout_periods", "finite and >= 1",
+             readout_periods)
 
     dt_per_period = run["dt_per_period"]
     _require(isinstance(dt_per_period, int) and not isinstance(dt_per_period, bool),
@@ -145,7 +148,10 @@ def load_config(path: str | Path | None) -> RunConfig:
     """Load a RunConfig from a JSON file; None gives all defaults."""
     if path is None:
         return RunConfig()
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

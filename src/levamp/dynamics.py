@@ -7,11 +7,12 @@ from Omega to Omega/r the drift becomes [[0, Omega], [-Omega/r^2, 0]]
 rather than a rescaled rotation, which is what turns a momentum kick
 into an r-fold larger position displacement after half a soft period.
 
-Each model is constant over a call to :func:`propagate`.  The stepper
-uses the exact matrix exponential of the drift together with the
-exactly integrated process-noise covariance (a Van Loan block
-exponential), so noiseless evolution is exact to machine rounding and
-step size only matters for the measurement-conditioning terms.
+Each model is constant over a call to :func:`propagate`.  The
+transition over any duration is the exact matrix exponential of the
+drift together with the exactly integrated process-noise covariance
+(a Van Loan block exponential, IEEE TAC 23, 395 (1978)), so the
+moments need no time step: one transition covers the whole duration
+to machine rounding.
 
 Conventions for the stochastic part:
 
@@ -19,12 +20,9 @@ Conventions for the stochastic part:
   second.  The base value ``4 * gamma_qb`` makes the free heating law
   d<n>/dt = gamma_qb hold exactly.
 * ``meas_rate`` is the information rate of the position record,
-  ``4 * eta * gamma_qb`` with detection on.
-* With an rng supplied and ``meas_rate > 0`` the state undergoes the
-  conditional (quantum trajectory) evolution: the mean is driven by
-  the measurement innovations and the covariance contracts through
-  the Riccati conditioning term.  The realized record is returned.
-  Without an rng the unconditional evolution is returned.
+  ``4 * eta * gamma_qb`` with detection on.  It enters only where a
+  record is generated or conditioned on (the trial simulator and the
+  filters); :func:`propagate` returns the unconditional moments.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from .records import MeasurementRecord
 from .state import GaussianState
 
 MIN_STEPS_PER_PERIOD = 50
@@ -206,89 +203,21 @@ def _joseph_update(cov: np.ndarray, sqrt_k: float, inv_dt: float):
     return gain, s_var, cov
 
 
-def propagate(
-    state: GaussianState,
-    model: DynamicsModel,
-    duration: float,
-    dt: float,
-    rng: np.random.Generator | None = None,
-    t0: float = 0.0,
-) -> tuple[GaussianState, MeasurementRecord | None]:
-    """Evolve a Gaussian state under a constant model.
-
-    Without ``rng`` the unconditional (no-measurement) evolution is
-    returned and the record slot is None.  With ``rng`` and
-    ``meas_rate > 0`` the conditional evolution is simulated: each
-    step measures y_k = sqrt(meas_rate) Q(t_k) + xi_k / sqrt(dt),
-    applies the optimal Gaussian update, then advances by the exact
-    transition.  With ``rng`` but detection gated off, a placeholder
-    record of NaN samples with gate = False is emitted so record
-    bookkeeping stays aligned with the timeline.
-
-    ``t0`` only timestamps the emitted record.
+def propagate(state: GaussianState, model: DynamicsModel, duration: float) -> GaussianState:
+    """Exact unconditional moments after ``duration`` seconds under ``model``.
 
     Raises
     ------
     ValueError
-        If duration is negative, dt violates the 50-steps-per-period
-        floor, or a record is requested for a duration that is not an
-        integer number of steps.
+        If duration is negative or not finite.
     CovarianceError
         If the covariance stops being positive definite.
     """
-    if duration < 0.0 or not math.isfinite(duration):
+    if not (duration >= 0.0 and math.isfinite(duration)):
         raise ValueError("duration must be nonnegative and finite")
     if duration == 0.0:
-        if rng is None:
-            return state, None
-        empty = MeasurementRecord(
-            t0=t0, dt=dt, samples=np.empty(0), gate=np.empty(0, dtype=bool)
-        )
-        return state, empty
-    _check_dt(model, dt)
-
-    n_exact = duration / dt
-    n = int(round(n_exact))
-    remainder = duration - n * dt
-    if abs(remainder) > 1e-9 * max(dt, duration):
-        if rng is not None:
-            raise ValueError(
-                "duration must be an integer number of steps when a record "
-                f"is generated: duration/dt = {n_exact:.6f}"
-            )
-        n = int(math.floor(n_exact))
-        remainder = duration - n * dt
-    else:
-        remainder = 0.0
-
-    f, qd = _discretize_cached(model, dt)
-    mean = state.mean.copy()
-    cov = state.cov.copy()
-
-    measured = rng is not None and model.meas_rate > 0.0
-    samples = np.full(n, np.nan) if rng is not None else None
-    sqrt_k = math.sqrt(model.meas_rate)
-    inv_dt = 1.0 / dt
-
-    for k in range(n):
-        if measured:
-            gain, s_var, cov = _joseph_update(cov, sqrt_k, inv_dt)
-            nu = math.sqrt(s_var) * rng.standard_normal()
-            samples[k] = sqrt_k * mean[0] + nu
-            mean = mean + gain * nu
-        mean = f @ mean
-        cov = f @ cov @ f.T + qd
-        _check_pd(cov, t0 + (k + 1) * dt)
-
-    if remainder > 1e-15 * duration:
-        f_rem, qd_rem = _discretize_cached(model, remainder)
-        mean = f_rem @ mean
-        cov = f_rem @ cov @ f_rem.T + qd_rem
-        _check_pd(cov, t0 + duration)
-
-    out = GaussianState(mean=mean, cov=cov)
-    if rng is None:
-        return out, None
-    gate = np.full(n, measured, dtype=bool)
-    record = MeasurementRecord(t0=t0, dt=dt, samples=samples, gate=gate)
-    return out, record
+        return state
+    f, qd = transition(model, duration)
+    cov = f @ state.cov @ f.T + qd
+    _check_pd(cov, duration)
+    return GaussianState(mean=f @ state.mean, cov=cov)

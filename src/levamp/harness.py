@@ -33,7 +33,7 @@ from . import _kernels
 from .dynamics import DynamicsModel, propagate, soft_model, transition
 from .estimation import readout_model, retrodiction_schedule
 from .params import OscillatorParams, db_ratio
-from .protocol import ProtocolSchedule, Segment, validate
+from .protocol import ProtocolSchedule, Segment, build_for_ratio, validate
 from .records import MeasurementRecord
 from .state import GaussianState, apply_impulse
 
@@ -105,14 +105,18 @@ class _SegmentPlan:
     is_readout: bool
 
 
+def _require_valid(schedule: ProtocolSchedule) -> None:
+    violations = validate(schedule)
+    if violations:
+        raise ValueError("invalid schedule: " + "; ".join(violations))
+
+
 def _plan_segments(
     schedule: ProtocolSchedule,
     params: OscillatorParams,
     dt_per_period: int,
 ) -> list[_SegmentPlan]:
-    violations = validate(schedule)
-    if violations:
-        raise ValueError("invalid schedule: " + "; ".join(violations))
+    _require_valid(schedule)
     plans: list[_SegmentPlan] = []
     for t_begin, _, seg in schedule.boundaries():
         if seg.kind == "feedback_hold":
@@ -280,9 +284,11 @@ def simulate_trial(
     """Re-run one trial, returning its true state at t_zero and records.
 
     This is :func:`run_ensemble`'s simulation at a batch of one, so the
-    truth equals that trial's ensemble row bit for bit, and the records
-    fed through :func:`levamp.estimation.estimate_trial_outcome`
-    reproduce its outcome (up to arithmetic reordering in the filters).
+    truth equals that trial's ensemble row bit for bit.  The readout
+    record starts exactly at t_zero, so the records fed through
+    :func:`levamp.estimation.estimate_trial_outcome` reproduce the
+    outcome's covariance bit for bit and its mean to rounding: the
+    per-sample filter and the batched kernel order their sums differently.
     """
     plans = _plan_segments(schedule, params, dt_per_period)
     truths, records = _simulate_chunk(
@@ -302,7 +308,6 @@ def run_schedule_noiseless(
     params: OscillatorParams,
     state: GaussianState,
     *,
-    dt_per_period: int = DEFAULT_DT_PER_PERIOD,
     stop_at_zero: bool = True,
 ) -> GaussianState:
     """Deterministic protocol map with diffusion and detection off.
@@ -313,14 +318,16 @@ def run_schedule_noiseless(
     (Q0, P0) with kick dP to (-Q0 + r dP, -P0) and returns the
     covariance to its initial value.
     """
-    plans = _plan_segments(schedule, params, dt_per_period)
-    for plan in plans:
-        if plan.is_readout and stop_at_zero:
-            break
-        if plan.kind == "kick":
-            state = apply_impulse(state, plan.kick_dp)
+    _require_valid(schedule)
+    for seg in schedule.segments:
+        if seg.kind == "feedback_hold":
             continue
-        state, _ = propagate(state, plan.model.noiseless(), plan.n_steps * plan.dt, plan.dt)
+        if seg.kind == "readout" and stop_at_zero:
+            break
+        if seg.kind == "kick":
+            state = apply_impulse(state, seg.kick_dp)
+            continue
+        state = propagate(state, model_for_segment(params, seg).noiseless(), seg.duration_s)
     return state
 
 
@@ -538,18 +545,13 @@ def sensitivity_curve(
     configured zero-point momentum, and in dB relative to both the
     ideal-system resolution sqrt(2) p_zp and to p_zp itself.
     """
-    from .protocol import build_amplified, build_conventional
-
     readout = readout_periods * params.period_s
     p_zp_kev = params.p_zp_report_kev_c()
     points = []
     for index, r in enumerate(r_grid):
         if r < 1.0:
             raise ValueError("squeeze ratios must be >= 1")
-        if abs(r - 1.0) < 1e-9:
-            schedule = build_conventional(params, tau=0.0, readout_duration=readout)
-        else:
-            schedule = build_amplified(params, r=r, tau=0.0, readout_duration=readout)
+        schedule = build_for_ratio(params, r, 0.0, readout)
         ensemble = run_ensemble(
             schedule,
             params,

@@ -97,10 +97,10 @@ class OscillatorParams:
             ("mass_kg", self.mass_kg > 0.0, "> 0"),
             ("freq_hz", self.freq_hz > 0.0, "> 0"),
             ("eta", 0.0 < self.eta <= 1.0, "in (0, 1]"),
-            ("gamma_qb_hz", self.gamma_qb_hz >= 0.0, ">= 0"),
+            ("gamma_qb_hz", self.gamma_qb_hz > 0.0, "> 0"),
             ("n_init", self.n_init >= 0.0, ">= 0"),
             ("kappa_imp", self.kappa_imp >= 0.0, ">= 0"),
-            ("gamma_fb_hz", self.gamma_fb_hz >= 0.0, ">= 0"),
+            ("gamma_fb_hz", self.gamma_fb_hz > 0.0, "> 0"),
             ("pulse_voltage_v", math.isfinite(self.pulse_voltage_v), "finite"),
             (
                 "gamma_qb_hz",

@@ -107,13 +107,27 @@ class ProtocolSchedule:
         return self.t_zero + self.readout_duration - self.total_duration
 
     def boundaries(self) -> list[tuple[float, float, Segment]]:
-        """Absolute (t_begin, t_end) for each segment in order."""
-        out = []
-        t = self.t_start
-        for seg in self.segments:
-            out.append((t, t + seg.duration_s, seg))
-            t += seg.duration_s
-        return out
+        """Absolute (t_begin, t_end) for each segment in order.
+
+        Anchored at t_zero: the first readout segment starts exactly
+        there, earlier segments are laid out backwards from it and later
+        ones forwards, so the readout start carries no rounding from the
+        durations before it.  Without a readout the timeline ends at t_zero.
+        """
+        segments = self.segments
+        anchor = next(
+            (j for j, s in enumerate(segments) if s.kind == "readout"), len(segments)
+        )
+        begins = [0.0] * len(segments)
+        t = self.t_zero
+        for j in range(anchor - 1, -1, -1):
+            t -= segments[j].duration_s
+            begins[j] = t
+        t = self.t_zero
+        for j in range(anchor, len(segments)):
+            begins[j] = t
+            t += segments[j].duration_s
+        return [(t0, t0 + s.duration_s, s) for t0, s in zip(begins, segments)]
 
     @property
     def squeeze_ratio(self) -> float:
@@ -244,6 +258,18 @@ def build_amplified(
     )
 
 
+def build_for_ratio(
+    params: OscillatorParams,
+    r: float,
+    tau: float,
+    readout_duration: float | None = None,
+) -> ProtocolSchedule:
+    """Schedule for squeeze ratio r: conventional within 1e-9 of 1, else amplified."""
+    if abs(r - 1.0) < 1e-9:
+        return build_conventional(params, tau=tau, readout_duration=readout_duration)
+    return build_amplified(params, r=r, tau=tau, readout_duration=readout_duration)
+
+
 def validate(schedule: ProtocolSchedule) -> list[str]:
     """Audit a schedule; returns a list of violations, empty when ok.
 
@@ -275,9 +301,6 @@ def validate(schedule: ProtocolSchedule) -> list[str]:
     scale = max(abs(schedule.total_duration), abs(schedule.readout_duration), 1e-30)
     bounds = schedule.boundaries()
 
-    readout_start = next(t0 for t0, _, s in bounds if s.kind == "readout")
-    if abs(readout_start - schedule.t_zero) > _REL_TOL * scale:
-        violations.append("non-contiguous timeline")
     if abs(readouts[0].duration_s - schedule.readout_duration) > _REL_TOL * scale:
         violations.append("non-contiguous timeline")
     if segments[-1].kind != "readout":

@@ -36,7 +36,7 @@ from .harness import (
     write_ensemble_csv,
 )
 from .params import OscillatorParams
-from .protocol import build_amplified, build_conventional
+from .protocol import build_amplified, build_conventional, build_for_ratio
 from .records import MeasurementRecord
 from .state import GaussianState, quarter_period_map, thermal_state, occupation
 
@@ -85,8 +85,7 @@ def _criterion_1(params: OscillatorParams) -> tuple[bool, str]:
     for r in (1.0, 2.0, R12):
         model = soft_model(params, r).noiseless()
         quarter = math.pi * r / (2.0 * params.omega)
-        dt = quarter / math.ceil(quarter / model.max_dt)
-        final, _ = propagate(state, model, quarter, dt)
+        final = propagate(state, model, quarter)
         s = quarter_period_map(r)
         worst = max(
             worst,
@@ -121,9 +120,8 @@ def _criterion_3(params: OscillatorParams) -> tuple[bool, str]:
         diffusion_p=4.0 * params.gamma_qb, meas_rate=0.0,
     )
     duration = 10.0 * params.period_s
-    dt = params.period_s / 200.0
     init = thermal_state(params.n_init)
-    final, _ = propagate(init, model, duration, dt)
+    final = propagate(init, model, duration)
     grown = occupation(final) - occupation(init)
     want = params.gamma_qb * duration
     rel = abs(grown / want - 1.0)
@@ -218,10 +216,7 @@ def _criterion_8(params: OscillatorParams) -> tuple[bool, str]:
     for j, r in enumerate((1.0, 2.0, R12)):
         ensembles = []
         for tau in taus:
-            if r == 1.0:
-                schedule = build_conventional(params, tau=tau)
-            else:
-                schedule = build_amplified(params, r=r, tau=tau)
+            schedule = build_for_ratio(params, r, tau)
             ensembles.append(
                 run_ensemble(schedule, params, 2000, SEED + 80 + j, workers=4)
             )

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from levamp import cli
 from levamp.cli import main
 
 R12 = math.sqrt(12.0)
@@ -152,6 +153,8 @@ def test_bad_config_exits_with_usage_error(tmp_path, capsys):
         ("sweep-tau", "--r", "nan"),
         ("sweep-r", "--tau-ns", "nan"),
         ("sweep-r", "--tau-ns", "-5"),
+        ("run", "fig3-amplified", "--trials", "9"),
+        ("run", "fig3-amplified", "--seed", "-1"),
     ],
 )
 def test_invalid_requests_exit_with_usage_error(argv, tmp_path, capsys):
@@ -159,8 +162,27 @@ def test_invalid_requests_exit_with_usage_error(argv, tmp_path, capsys):
     assert rc == 1
     flag = next((a for a in argv if a.startswith("--")), None)
     if flag is not None:
-        key = {"--trials": "n_trials", "--r": "r", "--tau-ns": "tau_ns"}[flag]
+        key = {"--trials": "n_trials", "--r": "r", "--tau-ns": "tau_ns", "--seed": "seed"}[flag]
         assert f"config key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("run", "selftest"), ("selftest", "--seed", "1")])
+def test_selftest_has_one_entry_point_taking_only_a_config(argv, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the selftest ran")
+
+    monkeypatch.setattr(cli.selftest_mod, "run_all", never)
+    assert run_cli(*argv) == 1
+
+
+def test_runtime_value_errors_are_runtime_failures(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("numerical fault")
+
+    monkeypatch.setattr(cli, "run_ensemble", broken)
+    rc = run_cli("run", "fig3-amplified", "--trials", "12", "--out", str(tmp_path / "z"))
+    assert rc == 2
+    assert "runtime failure: numerical fault" in capsys.readouterr().err
 
 
 def test_blocked_output_path_is_a_runtime_failure(tmp_path, capsys):

@@ -94,6 +94,11 @@ def test_root_must_be_an_object():
         {"readout_periods": 0.5},
         {"dt_per_period": 49},
         {"dt_per_period": 200.5},
+        {"n_trials": 9},
+        {"r_grid": [2.0, 2.0]},
+        {"tau_grid_ns": [math.inf]},
+        {"readout_periods": math.inf},
+        {"p_zp_kev_c": math.inf},
     ],
 )
 def test_run_key_validation(raw):
@@ -117,3 +122,8 @@ def test_invalid_json_names_the_file(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(path)
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ConfigError, match="cannot be read"):
+        load_config(path)
+    with pytest.raises(ConfigError, match="cannot be read"):
+        load_config(tmp_path / "missing.json")

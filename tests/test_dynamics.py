@@ -1,4 +1,4 @@
-"""Continuous dynamics: exact discretization, heating, and conditioning."""
+"""Continuous dynamics: exact discretization, heating, and moment propagation."""
 
 import math
 
@@ -75,11 +75,9 @@ def test_propagate_matches_brute_force_over_partial_periods():
         diffusion_p=4.0 * PARAMS.gamma_qb,
         meas_rate=0.0,
     )
-    dt = PERIOD / 200.0
-    duration = 340.0 * dt
+    duration = 340.0 * (PERIOD / 200.0)
     st = GaussianState(np.array([1.0, 0.5]), 3.4 * np.eye(2))
-    out, rec = propagate(st, model, duration, dt)
-    assert rec is None
+    out = propagate(st, model, duration)
     m_ref, v_ref = rk4_moments(model, st.mean, st.cov, duration, 20000)
     assert np.allclose(out.mean, m_ref, atol=1e-9)
     assert np.allclose(out.cov, v_ref, atol=1e-9)
@@ -87,7 +85,7 @@ def test_propagate_matches_brute_force_over_partial_periods():
 
 def test_full_period_returns_the_state():
     st = GaussianState(np.array([1.3, -0.4]), np.diag([2.0, 0.9]))
-    out, _ = propagate(st, FREE.noiseless(), PERIOD, PERIOD / 200.0)
+    out = propagate(st, FREE.noiseless(), PERIOD)
     assert np.allclose(out.mean, st.mean, atol=1e-9)
     assert np.allclose(out.cov, st.cov, atol=1e-9)
 
@@ -97,7 +95,7 @@ def test_quarter_of_the_local_period_matches_the_quarter_map(r):
     model = (soft_model(PARAMS, r) if r > 1.0 else FREE).noiseless()
     st = GaussianState(np.array([0.7, -1.1]), 3.4 * np.eye(2))
     quarter = model.local_period / 4.0
-    out, _ = propagate(st, model, quarter, quarter / 64.0)
+    out = propagate(st, model, quarter)
     ref = apply_linear(st, quarter_period_map(r))
     assert np.allclose(out.mean, ref.mean, atol=1e-9)
     assert np.allclose(out.cov, ref.cov, atol=1e-9)
@@ -112,7 +110,7 @@ def test_recoil_heating_rate_over_integer_periods():
     """
     st = thermal_state(1.2)
     duration = 10.0 * PERIOD
-    out, _ = propagate(st, FREE, duration, PERIOD / 200.0)
+    out = propagate(st, FREE, duration)
     gained = occupation(out) - 1.2
     assert gained == pytest.approx(4.10823654700204, rel=1e-9)
 
@@ -120,88 +118,48 @@ def test_recoil_heating_rate_over_integer_periods():
 @pytest.mark.parametrize("duration_periods", [0.3, 1.0, 2.7])
 def test_noiseless_evolution_preserves_covariance_determinant(duration_periods):
     st = GaussianState(np.zeros(2), np.diag([12.0, 1.0 / 12.0]))
-    out, _ = propagate(st, FREE.noiseless(), duration_periods * PERIOD, PERIOD / 256.0)
+    out = propagate(st, FREE.noiseless(), duration_periods * PERIOD)
     assert np.linalg.det(out.cov) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_conditioning_respects_the_uncertainty_floor():
-    rng = np.random.default_rng(41)
-    dt = PERIOD / 200.0
-    out, rec = propagate(thermal_state(1.2), MEASURED, 3.0 * PERIOD, dt, rng=rng)
-    assert rec is not None and rec.all_gated_on()
-    assert len(rec) == 600
-    assert np.linalg.det(out.cov) >= 1.0 - 1e-9
-
-
-def test_step_refinement_is_already_converged():
-    """The per-step map is the exact flow, so halving dt only reshuffles
-    rounding noise; successive refinements must sit at machine level and
-    (a fortiori) contract by better than a factor of four."""
-    st = GaussianState(np.zeros(2), 3.4 * np.eye(2))
-    duration = 3.0 * PERIOD
-    covs = []
-    means = []
-    for div in (100, 200, 400):
-        out, _ = propagate(st, MEASURED, duration, PERIOD / div)
-        covs.append(out.cov)
-        means.append(out.mean)
-    c1 = max(np.max(np.abs(covs[1] - covs[0])), np.max(np.abs(means[1] - means[0])))
-    c2 = max(np.max(np.abs(covs[2] - covs[1])), np.max(np.abs(means[2] - means[1])))
-    assert c1 < 1e-11
-    assert c2 < 1e-11
-    assert c2 < 4.0 * c1 + 1e-12
 
 
 def test_splitting_a_duration_reproduces_the_whole():
     dt = PERIOD / 200.0
     duration = 137.0 * dt
     st = GaussianState(np.array([0.2, 0.9]), 3.4 * np.eye(2))
-    whole, _ = propagate(st, MEASURED, duration, dt)
-    part, _ = propagate(st, MEASURED, 100.0 * dt, dt)
-    rest, _ = propagate(part, MEASURED, 37.0 * dt, dt)
+    whole = propagate(st, MEASURED, duration)
+    part = propagate(st, MEASURED, 100.0 * dt)
+    rest = propagate(part, MEASURED, 37.0 * dt)
     assert np.allclose(rest.mean, whole.mean, atol=1e-12)
     assert np.allclose(rest.cov, whole.cov, atol=1e-12)
 
 
-def test_partial_trailing_step_without_sampling():
-    """A duration that is not a whole number of steps is finished with
-    one exact shorter step when no record is being drawn."""
-    dt = PERIOD / 200.0
-    st = GaussianState(np.array([0.2, 0.9]), 3.4 * np.eye(2))
-    whole, _ = propagate(st, FREE, 100.5 * dt, dt)
-    ref, _ = propagate(st, FREE, 100.5 * dt, 0.5 * dt)
-    assert np.allclose(whole.mean, ref.mean, atol=1e-11)
-    assert np.allclose(whole.cov, ref.cov, atol=1e-11)
-
-
 def test_zero_duration_is_a_no_op():
     st = thermal_state(1.2)
-    out, rec = propagate(st, MEASURED, 0.0, PERIOD / 200.0, rng=np.random.default_rng(3))
+    out = propagate(st, MEASURED, 0.0)
     assert np.array_equal(out.mean, st.mean)
     assert np.array_equal(out.cov, st.cov)
-    assert rec is not None and len(rec) == 0
 
 
-def test_sampling_without_detection_yields_a_gated_off_record():
-    rng = np.random.default_rng(8)
-    out, rec = propagate(thermal_state(0.0), FREE, PERIOD, PERIOD / 200.0, rng=rng)
-    assert rec is not None
-    assert not rec.gate.any()
-    assert np.all(np.isnan(rec.samples))
-    assert np.isfinite(out.cov).all()
+def test_one_transition_equals_the_explicit_step_chain():
+    """Oracle: propagating over 600 steps in one call equals chaining 600
+    explicit one-step transitions."""
+    dt = PERIOD / 200.0
+    st = GaussianState(np.array([0.9, -0.6]), np.diag([3.4, 2.1]))
+    f, qd = transition(MEASURED, dt)
+    mean, cov = st.mean, st.cov
+    for _ in range(600):
+        mean = f @ mean
+        cov = f @ cov @ f.T + qd
+    out = propagate(st, MEASURED, 600 * dt)
+    assert np.max(np.abs(out.mean - mean)) < 1e-12
+    assert np.max(np.abs(out.cov - cov)) < 1e-12
 
 
 def test_propagate_rejects_bad_steps():
     st = thermal_state(1.2)
-    with pytest.raises(ValueError, match="dt too coarse"):
-        propagate(st, MEASURED, PERIOD, PERIOD / 10.0)
-    with pytest.raises(ValueError):
-        propagate(st, MEASURED, -PERIOD, PERIOD / 200.0)
-    with pytest.raises(ValueError):
-        propagate(
-            st, MEASURED, 100.5 * (PERIOD / 200.0), PERIOD / 200.0,
-            rng=np.random.default_rng(0),
-        )
+    for bad in (-PERIOD, np.nan, np.inf):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            propagate(st, MEASURED, bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

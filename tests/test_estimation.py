@@ -132,7 +132,7 @@ def test_forward_filter_without_detection_reduces_to_propagation():
     assert len(traj.t) == n
     for j in (0, 7, 199, n - 1):
         if j:
-            ref, _ = propagate(init, free, j * DT, DT)
+            ref = propagate(init, free, j * DT)
         else:
             ref = init
         assert traj.t[j] == pytest.approx(j * DT, rel=1e-12)
@@ -147,6 +147,17 @@ def test_forward_filter_plateau_matches_the_steady_state():
     avg_last_period = traj.covs[-200:].mean(axis=0)
     steady = riccati_steady_state(MODEL)
     assert np.max(np.abs(avg_last_period - steady) / np.abs(np.diag(steady)).max()) < 1e-6
+
+
+def test_forward_filter_respects_the_uncertainty_floor():
+    """Conditioning a thermal prior on a record never takes the state
+    below the Heisenberg floor det V = 1."""
+    rng = np.random.default_rng(41)
+    n = 3 * 200
+    rec = MeasurementRecord(0.0, DT, rng.standard_normal(n), np.ones(n, dtype=bool))
+    prior = thermal_state(1.2)
+    traj = kalman_forward(rec, MODEL, FilterState(prior.mean, prior.cov, 0.0))
+    assert np.all(np.linalg.det(traj.covs) >= 1.0 - 1e-9)
 
 
 def test_forward_filter_requires_gated_on_records():
@@ -180,8 +191,9 @@ def test_retrodiction_recovers_a_noiseless_trajectory():
 
 def test_retrodiction_matches_a_joint_gaussian_oracle():
     """Brute-force check: stack the state at every sample time into one
-    joint Gaussian with the prior, condition on the record, and compare
-    the conditional mean and covariance."""
+    joint Gaussian with the prior, condition on the gated-on samples, and
+    compare the conditional mean and covariance, for a fully gated-on
+    record and for one with a gated-off NaN stretch in the middle."""
     dt = PERIOD / 50.0
     n = 60
     f, qd = transition(MODEL, dt)
@@ -208,13 +220,18 @@ def test_retrodiction_matches_a_joint_gaussian_oracle():
     )
     rng = np.random.default_rng(77)
     y = 3.0 * rng.standard_normal(n)
-    gain = c_xy @ np.linalg.inv(c_yy)
-    mean_ref = gain @ y
-    cov_ref = prior - gain @ c_xy.T
+    gapped = np.ones(n, dtype=bool)
+    gapped[20:35] = False
+    for gate in (np.ones(n, dtype=bool), gapped):
+        samples = np.where(gate, y, np.nan)
+        on = np.flatnonzero(gate)
+        gain = c_xy[:, on] @ np.linalg.inv(c_yy[np.ix_(on, on)])
+        mean_ref = gain @ samples[on]
+        cov_ref = prior - gain @ c_xy[:, on].T
 
-    out = retrodict(MeasurementRecord(0.0, dt, y, np.ones(n, dtype=bool)), MODEL, 0.0)
-    assert np.max(np.abs(out.estimate - mean_ref)) < 1e-7
-    assert np.max(np.abs(out.cov - cov_ref)) / np.max(np.abs(cov_ref)) < 1e-5
+        out = retrodict(MeasurementRecord(0.0, dt, samples, gate), MODEL, 0.0)
+        assert np.max(np.abs(out.estimate - mean_ref)) < 1e-7
+        assert np.max(np.abs(out.cov - cov_ref)) / np.max(np.abs(cov_ref)) < 1e-5
 
 
 def test_retrodicted_covariance_ignores_the_record_values():
@@ -246,6 +263,8 @@ def test_ideal_detection_retrodicts_to_the_uncertainty_floor():
 def test_retrodict_rejects_short_records_and_late_targets():
     with pytest.raises(ValueError, match="record too short"):
         retrodict(flat_record(50), MODEL, 0.0)
+    with pytest.raises(ValueError, match="dt too coarse"):
+        retrodict(flat_record(40, dt=PERIOD / 10.0), MODEL, 0.0)
     with pytest.raises(ValueError):
         retrodict(flat_record(400), MODEL, 10.0 * PERIOD)
 

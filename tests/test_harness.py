@@ -104,12 +104,19 @@ def test_draw_order_reproduces_the_frozen_trials(name):
     assert np.allclose(ens.truths, truths, rtol=1e-12, atol=0.0)
 
 
-def test_single_trial_replay_matches_the_ensemble_row():
-    ens = run_ensemble(CONV, PARAMS, 8, 314, workers=1)
+@pytest.mark.parametrize(
+    "schedule",
+    [CONV, AMP, build_amplified(PARAMS, 5.0, 100e-9)],
+    ids=["conventional", "amplified-sqrt12", "amplified-r5"],
+)
+def test_single_trial_replay_matches_the_ensemble_row(schedule):
+    """The readout record starts exactly at t_zero, so the replay needs no
+    bridging step and agrees with the batched filter to rounding."""
+    ens = run_ensemble(schedule, PARAMS, 8, 314, workers=1)
     for i in (0, 3, 7):
-        truth, records = simulate_trial(CONV, PARAMS, 314, i)
-        est = estimate_trial_outcome(records, MODEL, CONV)
-        assert np.max(np.abs(est.estimate - ens.outcomes[i])) < 1e-9
+        truth, records = simulate_trial(schedule, PARAMS, 314, i)
+        est = estimate_trial_outcome(records, MODEL, schedule)
+        assert np.max(np.abs(est.estimate - ens.outcomes[i])) < 1e-12
         assert np.array_equal(est.cov, ens.est_cov)
         assert np.array_equal(truth, ens.truths[i])
 

@@ -152,6 +152,8 @@ def test_angular_frequency_properties():
         ("freq_hz", 0.0, "freq_hz must be > 0"),
         ("n_init", -0.1, "n_init must be >= 0"),
         ("gamma_qb_hz", 60e3, "gamma_qb_hz must be <"),
+        ("gamma_qb_hz", 0.0, "gamma_qb_hz must be > 0"),
+        ("gamma_fb_hz", 0.0, "gamma_fb_hz must be > 0"),
     ],
 )
 def test_parameter_validation(key, value, fragment):

@@ -15,6 +15,7 @@ from levamp.protocol import (
     Segment,
     build_amplified,
     build_conventional,
+    build_for_ratio,
     schedule_to_json,
     validate,
 )
@@ -116,14 +117,26 @@ def test_conventional_timing_anchors():
 
 
 def test_boundaries_are_contiguous():
-    for sched in (AMP, CONV):
+    """The readout and kick sit exactly on their anchors, free of the
+    rounding in the durations laid out before them."""
+    slow_hold = PARAMS.with_(gamma_fb_hz=500.0)
+    for sched in (AMP, CONV, build_amplified(PARAMS, 5.0, 100e-9),
+                  build_conventional(slow_hold, 1000e-9)):
         bounds = sched.boundaries()
+        assert next(t0 for t0, _, s in bounds if s.kind == "readout") == sched.t_zero
+        assert next(t0 for t0, _, s in bounds if s.kind == "kick") == sched.t_kick
         assert bounds[0][0] == pytest.approx(sched.t_start, abs=1e-15)
         for (_, end, _), (start, _, _) in zip(bounds, bounds[1:]):
             assert start == pytest.approx(end, abs=1e-12)
         assert bounds[-1][1] == pytest.approx(
             sched.t_zero + sched.readout_duration, abs=1e-12
         )
+
+
+def test_ratio_switch_picks_conventional_only_at_unity():
+    assert build_for_ratio(PARAMS, 1.0 + 1e-10, 100e-9) == build_conventional(PARAMS, 100e-9)
+    assert build_for_ratio(PARAMS, 1.0 + 1e-6, 100e-9).mode == "amplified"
+    assert build_for_ratio(PARAMS, R12, 100e-9) == AMP
 
 
 def test_mode_and_squeeze_ratio():
