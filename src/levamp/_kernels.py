@@ -1,9 +1,10 @@
 """Batched trial kernels, vectorized over trials with numpy.
 
-The ensemble hot loops are tiny 2x2 affine recursions repeated for
-thousands of steps across hundreds of trials.  Each kernel sweeps all
-trials of a batch per time step; a batch of one serves single-trial
-replay.
+The simulation hot loops are tiny 2x2 affine recursions repeated for
+thousands of steps across hundreds of trials; each sweeps all trials
+of a batch per time step.  Retrodiction needs no recursion per trial:
+its mean is a fixed linear functional of the record, mean = record ·
+weights.  A batch of one serves single-trial replay.
 
 Array layout is trial-major: states ``x`` are (m, 2), per-step noise
 ``w`` is (m, n, 2), records ``y`` are (m, n).  All kernels return new
@@ -84,28 +85,12 @@ def roll_record(
     return np.stack([x0, x1], axis=1), y
 
 
-def filter_backward(
-    y: np.ndarray, fb: np.ndarray, gains: np.ndarray, sqrt_k: float
-) -> np.ndarray:
-    """Backward-filter means from a record, batched over trials.
+def filter_backward(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Retrodicted means of a batch of records: mean = record · weights.
 
-    y: (m, n) records in forward time order; fb: (2, 2) backward
-    transition; gains: (n, 2) Kalman gains indexed by reversed step.
-    The loop updates on sample n-1, steps back, and ends with the
-    update on sample 0 (no trailing prediction).
+    y: (m, n) records in forward time order; weights: (n, 2) from
+    :func:`levamp.estimation.retrodiction_schedule`.  einsum sums each
+    row over n in the same order for any batch size, without BLAS, so
+    chunking and thread count never change a bit.
     """
-    m, n = y.shape
-    b00, b01, b10, b11 = fb[0, 0], fb[0, 1], fb[1, 0], fb[1, 1]
-    x0 = np.zeros(m)
-    x1 = np.zeros(m)
-    for j in range(n):
-        innov = y[:, n - 1 - j] - sqrt_k * x0
-        x0 = x0 + gains[j, 0] * innov
-        x1 = x1 + gains[j, 1] * innov
-        if j < n - 1:
-            new0 = b00 * x0 + b01 * x1
-            new1 = b10 * x0 + b11 * x1
-            x0 = new0
-            x1 = new1
-    return np.stack([x0, x1], axis=1)
-
+    return np.einsum("mn,nk->mk", y, weights)

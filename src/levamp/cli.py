@@ -14,13 +14,15 @@ selftest).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 from . import __version__, selftest as selftest_mod
-from .config import R_MAX, ConfigError, RunConfig, load_config
+from .config import R_MAX, ConfigError, RunConfig, load_config, require_finite_kick
 from .harness import (
     MIN_STATS_TRIALS,
     derive_seed,
@@ -38,7 +40,7 @@ from .params import momentum_to_kev_c
 from .protocol import build_for_ratio, schedule_to_json
 
 DEFAULT_SEED = 20260819
-DEFAULT_WORKERS = 4
+DEFAULT_WORKERS = os.cpu_count() or 1
 
 PRESETS = (
     "fig3-conventional",
@@ -101,14 +103,7 @@ def _resolve(args) -> tuple[RunConfig, int, int]:
             raise ConfigError(
                 f"config key 'n_trials' must be >= {MIN_STATS_TRIALS}, got {args.trials}"
             )
-        cfg = RunConfig(
-            params=cfg.params,
-            n_trials=args.trials,
-            r_grid=cfg.r_grid,
-            tau_grid_ns=cfg.tau_grid_ns,
-            readout_periods=cfg.readout_periods,
-            dt_per_period=cfg.dt_per_period,
-        )
+        cfg = dataclasses.replace(cfg, n_trials=args.trials)
     seed = DEFAULT_SEED if args.seed is None else args.seed
     workers = max(1, args.workers)
     return cfg, seed, workers
@@ -278,6 +273,7 @@ def main(argv=None) -> int:
                 raise ConfigError(
                     f"config key 'tau_ns' must be finite and >= 0, got {args.tau_ns}"
                 )
+            require_finite_kick(cfg.params, args.tau_ns, "tau_ns")
             _run_scaling(args, cfg, seed, workers, "sweep-r",
                          cfg.r_grid, [args.tau_ns / 1e9])
         elif args.command == "sweep-tau":

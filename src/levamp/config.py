@@ -52,16 +52,23 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     params: OscillatorParams = field(default_factory=OscillatorParams)
-    n_trials: int = 200
+    n_trials: int = _RUN_KEY_DEFAULTS["n_trials"]
     r_grid: tuple[float, ...] = _RUN_KEY_DEFAULTS["r_grid"]
     tau_grid_ns: tuple[float, ...] = _RUN_KEY_DEFAULTS["tau_grid_ns"]
-    readout_periods: float = 5.0
-    dt_per_period: int = 200
+    readout_periods: float = _RUN_KEY_DEFAULTS["readout_periods"]
+    dt_per_period: int = _RUN_KEY_DEFAULTS["dt_per_period"]
 
 
 def _require(cond: bool, key: str, constraint: str, value: Any) -> None:
     if not cond:
         raise ConfigError(f"config key '{key}' must be {constraint}, got {value!r}")
+
+
+def require_finite_kick(params: OscillatorParams, tau_ns: float, key: str) -> None:
+    """Reject a pulse length (from ``key``) whose kick overflows."""
+    _require(math.isfinite(params.kappa_imp * params.pulse_voltage_v * (tau_ns / 1e9)), key,
+             "a pulse length in ns whose kick kappa_imp * pulse_voltage_v * tau is finite",
+             tau_ns)
 
 
 def config_from_dict(raw: dict[str, Any]) -> RunConfig:
@@ -122,6 +129,8 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
                  "tau_grid_ns", "an array of numbers", tau_grid)
         _require(0.0 <= float(tau) < math.inf, "tau_grid_ns", "finite entries >= 0", tau)
     tau_grid = tuple(float(t) for t in tau_grid)
+    for tau in tau_grid:
+        require_finite_kick(params, tau, "tau_grid_ns")
 
     readout_periods = run["readout_periods"]
     _require(isinstance(readout_periods, (int, float)) and not isinstance(readout_periods, bool),

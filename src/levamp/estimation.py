@@ -38,6 +38,7 @@ from .dynamics import (
     base_model,
     transition,
 )
+from .protocol import require_valid
 from .records import MeasurementRecord
 from .state import _as_cov, _as_mean
 
@@ -225,16 +226,15 @@ def retrodict(
 
 
 def retrodiction_schedule(
-    model: EstimationModel, dt: float, n: int, prior_scale: float = PRIOR_SCALE
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """Precompute the data-independent part of the backward filter.
+    model: EstimationModel, dt: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, cov_target) of :func:`retrodict` on any fully gated-on record.
 
-    For a fully gated-on record of n samples spaced dt this returns
-    (finv, gains, sqrt_k, cov_target): the backward transition, the
-    per-step Kalman gain indexed by reversed sample order, the record
-    gain, and the retrodiction covariance at the first sample time.
-    The mean pass over any concrete record is then a pure affine
-    recursion, which is what the batched kernels execute.
+    For n samples spaced dt the mean at the first sample time is
+    mean = record · weights, weights being (n, 2); cov_target does not
+    depend on the record.  With gains g_j counted from the last sample,
+    each update-then-step maps the mean by (I - sqrt_k g_j e0ᵀ) finv;
+    one backward fold of those maps gives every sample's weight.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -246,12 +246,19 @@ def retrodiction_schedule(
     finv, qrev = _backward_ops(model, dt)
 
     gains = np.empty((n, 2))
-    cov = prior_scale * np.eye(2)
+    cov = PRIOR_SCALE * np.eye(2)
     for j in range(n):
         gains[j], _, cov = _joseph_update(cov, sqrt_k, inv_dt)
         if j < n - 1:
             cov = finv @ cov @ finv.T + qrev
-    return finv, gains, sqrt_k, cov
+
+    steps = finv - sqrt_k * gains[:, :, None] * finv[0]
+    phis = np.empty((n, 2, 2))
+    phi = np.eye(2)
+    for j in range(n - 1, -1, -1):
+        phis[j] = phi
+        phi = phi @ steps[j]
+    return np.einsum("jab,jb->ja", phis[::-1], gains[::-1]), cov
 
 
 def riccati_steady_state(model: EstimationModel, steps_per_period: int = 200) -> np.ndarray:
@@ -299,12 +306,7 @@ def estimate_trial_outcome(
     iterable containing the trial's records; the one starting at or
     after t_zero is used.
     """
-    from .protocol import validate
-
-    violations = validate(schedule)
-    if violations:
-        raise ValueError("invalid schedule: " + "; ".join(violations))
-
+    require_valid(schedule)
     if isinstance(records, MeasurementRecord):
         candidates = [records]
     else:

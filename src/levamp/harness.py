@@ -33,7 +33,7 @@ from . import _kernels
 from .dynamics import DynamicsModel, propagate, soft_model, transition
 from .estimation import readout_model, retrodiction_schedule
 from .params import OscillatorParams, db_ratio
-from .protocol import ProtocolSchedule, Segment, build_for_ratio, validate
+from .protocol import ProtocolSchedule, Segment, build_for_ratio, require_valid
 from .records import MeasurementRecord
 from .state import GaussianState, apply_impulse
 
@@ -105,18 +105,12 @@ class _SegmentPlan:
     is_readout: bool
 
 
-def _require_valid(schedule: ProtocolSchedule) -> None:
-    violations = validate(schedule)
-    if violations:
-        raise ValueError("invalid schedule: " + "; ".join(violations))
-
-
 def _plan_segments(
     schedule: ProtocolSchedule,
     params: OscillatorParams,
     dt_per_period: int,
 ) -> list[_SegmentPlan]:
-    _require_valid(schedule)
+    require_valid(schedule)
     plans: list[_SegmentPlan] = []
     for t_begin, _, seg in schedule.boundaries():
         if seg.kind == "feedback_hold":
@@ -230,35 +224,34 @@ def run_ensemble(
         raise ValueError("schedule has no readout segment")
     ops = _segment_ops(plans)
 
-    est_model = readout_model(params)
-    finv, gains, sqrt_k, est_cov = retrodiction_schedule(est_model, ro.dt, ro.n_steps)
+    weights, est_cov = retrodiction_schedule(readout_model(params), ro.dt, ro.n_steps)
     init_std = _trial_init_std(params)
 
     outcomes = np.empty((n_trials, 2))
     truths = np.empty((n_trials, 2))
 
-    def work(start: int, stop: int) -> None:
+    def work(start: int) -> None:
+        stop = min(start + CHUNK, n_trials)
         chunk_truths, records = _simulate_chunk(start, stop, plans, ops, master_seed, init_std)
         readout = next(y for plan, y in records if plan is ro)
-        est = _kernels.filter_backward(readout, finv, gains, sqrt_k)
+        est = _kernels.filter_backward(readout, weights)
+        bad = np.flatnonzero(~np.isfinite(np.hstack([est, chunk_truths])).all(axis=1))
+        if bad.size:
+            raise RuntimeError(
+                f"trial {start + int(bad[0])} produced a non-finite result; ensemble aborted"
+            )
         outcomes[start:stop] = est
         truths[start:stop] = chunk_truths
 
-    spans = [(s, min(s + CHUNK, n_trials)) for s in range(0, n_trials, CHUNK)]
-    if workers is None:
-        workers = 1
-    if workers <= 1 or len(spans) == 1:
-        for start, stop in spans:
-            work(start, stop)
+    # The first failing chunk stops the run: pool.map raises in chunk order
+    # and cancels the rest, so every worker count names the same trial.
+    starts = range(0, n_trials, CHUNK)
+    if workers is None or workers <= 1 or len(starts) == 1:
+        for start in starts:
+            work(start)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(work, start, stop) for start, stop in spans]
-            for future in futures:
-                future.result()
-
-    bad = np.flatnonzero(~np.all(np.isfinite(outcomes), axis=1) | ~np.all(np.isfinite(truths), axis=1))
-    if bad.size:
-        raise RuntimeError(f"trial {int(bad[0])} produced a non-finite result; ensemble aborted")
+            list(pool.map(work, starts))
 
     return Ensemble(
         params=params,
@@ -318,7 +311,7 @@ def run_schedule_noiseless(
     (Q0, P0) with kick dP to (-Q0 + r dP, -P0) and returns the
     covariance to its initial value.
     """
-    _require_valid(schedule)
+    require_valid(schedule)
     for seg in schedule.segments:
         if seg.kind == "feedback_hold":
             continue

@@ -172,10 +172,15 @@ def impulse_from_pulse(
         raise ValueError(f"pulse_duration must be >= 0, got {pulse_duration}")
     if not math.isfinite(pulse_voltage):
         raise ValueError(f"pulse_voltage must be finite, got {pulse_voltage}")
+    dp = params.kappa_imp * pulse_voltage * pulse_duration
+    if not math.isfinite(dp):
+        raise ValueError(
+            f"kick kappa_imp * pulse_voltage * pulse_duration must be finite, got {dp}"
+        )
     if pulse_duration > IMPULSE_WARN_S * (1.0 + 1e-12):
         warnings.warn(
             f"pulse duration {pulse_duration:.3g} s exceeds {IMPULSE_WARN_S:.0e} s; "
             "the kick is still applied as instantaneous",
             stacklevel=2,
         )
-    return params.kappa_imp * pulse_voltage * pulse_duration
+    return dp

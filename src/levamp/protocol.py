@@ -322,6 +322,13 @@ def validate(schedule: ProtocolSchedule) -> list[str]:
     return violations
 
 
+def require_valid(schedule: ProtocolSchedule) -> None:
+    """Raise ValueError listing every violation :func:`validate` finds."""
+    violations = validate(schedule)
+    if violations:
+        raise ValueError("invalid schedule: " + "; ".join(violations))
+
+
 def schedule_to_json(schedule: ProtocolSchedule, indent: int | None = 2) -> str:
     """Serialize the segment list as a JSON array for inspection."""
     payload = [

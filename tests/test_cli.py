@@ -155,14 +155,28 @@ def test_bad_config_exits_with_usage_error(tmp_path, capsys):
         ("sweep-r", "--tau-ns", "-5"),
         ("run", "fig3-amplified", "--trials", "9"),
         ("run", "fig3-amplified", "--seed", "-1"),
+        ("run", "fig3-amplified", "--config", '{"kappa_imp": 1e308, "pulse_voltage_v": 1e10}'),
+        # kappa_imp * pulse_voltage_v overflows, so even a 0 ns pulse has no
+        # finite kick: the grid check also covers the fixed fig3 pulse.
+        ("run", "fig3-amplified", "--config",
+         '{"kappa_imp": 1e308, "pulse_voltage_v": 1e10, "tau_grid_ns": [0.0]}'),
+        ("sweep-r", "--tau-ns", "1e10", "--config", '{"kappa_imp": 1e300, "pulse_voltage_v": 1e8}'),
     ],
 )
 def test_invalid_requests_exit_with_usage_error(argv, tmp_path, capsys):
+    """Every fault is a usage error raised before the output directory exists."""
+    argv = list(argv)
+    if "--config" in argv:
+        at = argv.index("--config") + 1
+        (tmp_path / "cfg.json").write_text(argv[at])
+        argv[at] = str(tmp_path / "cfg.json")
     rc = run_cli(*argv, "--out", str(tmp_path / "y"))
     assert rc == 1
+    assert not (tmp_path / "y").exists()
     flag = next((a for a in argv if a.startswith("--")), None)
     if flag is not None:
-        key = {"--trials": "n_trials", "--r": "r", "--tau-ns": "tau_ns", "--seed": "seed"}[flag]
+        key = {"--trials": "n_trials", "--r": "r", "--tau-ns": "tau_ns", "--seed": "seed",
+               "--config": "tau_grid_ns"}[flag]
         assert f"config key '{key}'" in capsys.readouterr().err
 
 

@@ -99,6 +99,7 @@ def test_root_must_be_an_object():
         {"tau_grid_ns": [math.inf]},
         {"readout_periods": math.inf},
         {"p_zp_kev_c": math.inf},
+        {"kappa_imp": 1e300, "pulse_voltage_v": 1e8, "tau_grid_ns": [1.0, 1e10]},
     ],
 )
 def test_run_key_validation(raw):

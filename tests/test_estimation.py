@@ -270,18 +270,18 @@ def test_retrodict_rejects_short_records_and_late_targets():
 
 
 def test_precomputed_schedule_reproduces_retrodiction():
-    """The data-independent (transition, gains) form used by the batched
-    harness must agree with the reference smoother on any record."""
+    """The record weights used by the batched harness must agree with the
+    reference smoother on any record."""
     n = 600
     rng = np.random.default_rng(99)
     y = 2.0 * rng.standard_normal(n)
     rec = MeasurementRecord(0.0, DT, y, np.ones(n, dtype=bool))
     ref = retrodict(rec, MODEL, 0.0)
-    finv, gains, sqrt_k, cov_target = retrodiction_schedule(MODEL, DT, n)
-    fast = filter_backward(y[None, :], finv, gains, sqrt_k)[0]
+    weights, cov_target = retrodiction_schedule(MODEL, DT, n)
+    assert weights.shape == (n, 2)
+    fast = filter_backward(y[None, :], weights)[0]
     assert np.max(np.abs(fast - ref.estimate)) < 1e-12
     assert np.max(np.abs(cov_target - ref.cov)) < 1e-12
-    assert sqrt_k == pytest.approx(math.sqrt(MODEL.meas_rate), rel=1e-15)
 
 
 def make_readout_record(mean_at_zero, n=5 * 200):

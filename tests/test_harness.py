@@ -124,7 +124,7 @@ def test_single_trial_replay_matches_the_ensemble_row(schedule):
 def test_ensemble_estimation_covariance_matches_the_schedule():
     ens = run_ensemble(AMP, PARAMS, 10, 9, workers=1)
     n = round(AMP.readout_duration / (PERIOD / 200.0))
-    _, _, _, cov_target = retrodiction_schedule(MODEL, PERIOD / 200.0, n)
+    _, cov_target = retrodiction_schedule(MODEL, PERIOD / 200.0, n)
     assert np.allclose(ens.est_cov, cov_target, atol=1e-12)
 
 
@@ -137,12 +137,35 @@ def test_non_finite_trials_abort_the_run(monkeypatch):
     real = retrodiction_schedule
 
     def poisoned(*args, **kwargs):
-        finv, gains, sqrt_k, cov = real(*args, **kwargs)
-        return finv, np.full_like(gains, np.nan), sqrt_k, cov
+        weights, cov = real(*args, **kwargs)
+        return np.full_like(weights, np.nan), cov
 
     monkeypatch.setattr(harness, "retrodiction_schedule", poisoned)
-    with pytest.raises(RuntimeError, match="non-finite"):
-        run_ensemble(AMP, PARAMS, 4, 1, workers=1)
+    for workers in (1, 2):
+        with pytest.raises(RuntimeError, match=r"^trial 0 produced a non-finite result"):
+            run_ensemble(AMP, PARAMS, 2 * harness.CHUNK, 1, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_first_bad_chunk_stops_the_run(monkeypatch, workers):
+    """Trials 300 and 600 go bad; the run names 300 for any worker count
+    and, on one worker, never simulates the chunks after it."""
+    real = harness._simulate_chunk
+    starts = []
+
+    def poisoned(start, stop, *args):
+        starts.append(start)
+        truths, records = real(start, stop, *args)
+        for bad in (300, 600):
+            if start <= bad < stop:
+                truths[bad - start, 1] = np.inf
+        return truths, records
+
+    monkeypatch.setattr(harness, "_simulate_chunk", poisoned)
+    with pytest.raises(RuntimeError, match=r"^trial 300 produced a non-finite result"):
+        run_ensemble(AMP, PARAMS, 4 * harness.CHUNK, 1, workers=workers)
+    if workers == 1:
+        assert starts == [0, harness.CHUNK]
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from levamp._kernels import chol2x2, filter_backward, roll, roll_record
+from levamp.estimation import readout_model, retrodict, retrodiction_schedule
+from levamp.params import OscillatorParams
+from levamp.records import MeasurementRecord
 
 RNG = np.random.default_rng(7321)
 
@@ -18,7 +21,7 @@ L_STEP = chol2x2(np.array([[4e-4, 1e-4], [1e-4, 9e-4]]))
 X0 = np.ascontiguousarray(RNG.standard_normal((M, 2)))
 W = np.ascontiguousarray(RNG.standard_normal((M, N, 2)))
 V = np.ascontiguousarray(RNG.standard_normal((M, N)))
-GAINS = np.ascontiguousarray(0.05 * RNG.standard_normal((N, 2)))
+WEIGHTS = np.ascontiguousarray(0.05 * RNG.standard_normal((N, 2)))
 SQRT_K = 23.7
 NOISE_SCALE = 104.5
 
@@ -63,16 +66,18 @@ def test_roll_record_reads_state_before_each_step():
 
 
 def test_filter_backward_matches_per_trial_recursion():
-    fb = np.linalg.inv(F_STEP)
-    est = filter_backward(V, fb, GAINS, SQRT_K)
+    """With the weights of the readout model, every batch row equals the
+    per-sample backward filter run on that trial's record alone."""
+    params = OscillatorParams()
+    model = readout_model(params)
+    dt = params.period_s / 200.0
+    weights, _ = retrodiction_schedule(model, dt, N)
+    y = 30.0 * V
+    est = filter_backward(y, weights)
     for i in (0, M - 1):
-        x = np.zeros(2)
-        for j in range(N):
-            innov = V[i, N - 1 - j] - SQRT_K * x[0]
-            x = x + GAINS[j] * innov
-            if j < N - 1:
-                x = fb @ x
-        assert np.allclose(est[i], x, atol=1e-12)
+        record = MeasurementRecord(0.0, dt, y[i], np.ones(N, dtype=bool))
+        ref = retrodict(record, model, 0.0).estimate
+        assert np.max(np.abs(est[i] - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_chunked_batches_reproduce_the_full_batch():
@@ -82,6 +87,20 @@ def test_chunked_batches_reproduce_the_full_batch():
         [roll(X0[:70], F_STEP, L_STEP, W[:70]),
          roll(X0[70:], F_STEP, L_STEP, W[70:])]
     )
+    assert np.array_equal(whole, split)
+
+
+def test_chunked_records_retrodict_to_the_same_bits():
+    """A 256-row batch, its rows one at a time and split batches give
+    identical means: each row sums over the record in one fixed order."""
+    y = np.ascontiguousarray(np.random.default_rng(11).standard_normal((256, N)))
+    whole = filter_backward(y, WEIGHTS)
+    singles = np.vstack([filter_backward(y[i:i + 1], WEIGHTS) for i in range(256)])
+    split = np.vstack(
+        [filter_backward(y[:1], WEIGHTS), filter_backward(y[1:70], WEIGHTS),
+         filter_backward(y[70:], WEIGHTS)]
+    )
+    assert np.array_equal(whole, singles)
     assert np.array_equal(whole, split)
 
 
@@ -95,7 +114,7 @@ def test_all_noise_off_collapses_the_ensemble():
     xs, ys = roll_record(x0, F_STEP, L_STEP, wz, vz, SQRT_K, NOISE_SCALE)
     assert np.all(xs == xs[0])
     assert np.all(ys == ys[0])
-    est = filter_backward(ys, np.linalg.inv(F_STEP), GAINS, SQRT_K)
+    est = filter_backward(ys, WEIGHTS)
     assert np.all(est == est[0])
 
 

@@ -134,6 +134,8 @@ def test_impulse_rejects_bad_pulses():
         impulse_from_pulse(PARAMS, 2.0, -1e-9)
     with pytest.raises(ValueError):
         impulse_from_pulse(PARAMS, float("nan"), 100e-9)
+    with pytest.raises(ValueError, match="kick .* must be finite"):
+        impulse_from_pulse(PARAMS.with_(kappa_imp=1e308), 1e10, 1e-6)
 
 
 def test_angular_frequency_properties():
