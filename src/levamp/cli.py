@@ -17,13 +17,13 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 from . import __version__, selftest as selftest_mod
 from .config import R_MAX, ConfigError, RunConfig, load_config, require_finite_kick
 from .harness import (
+    DEFAULT_WORKERS,
     MIN_STATS_TRIALS,
     derive_seed,
     ensemble_stats,
@@ -40,7 +40,6 @@ from .params import momentum_to_kev_c
 from .protocol import build_for_ratio, schedule_to_json
 
 DEFAULT_SEED = 20260819
-DEFAULT_WORKERS = os.cpu_count() or 1
 
 PRESETS = (
     "fig3-conventional",

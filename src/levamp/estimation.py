@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -235,16 +237,31 @@ def retrodiction_schedule(
     depend on the record.  With gains g_j counted from the last sample,
     each update-then-step maps the mean by (I - sqrt_k g_j e0ᵀ) finv;
     one backward fold of those maps gives every sample's weight.
+
+    The fold is computed once per backward step (finv, qrev, sqrt_k,
+    dt, n) and cached; every call returns fresh arrays.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("need at least one sample")
     if model.meas_rate <= 0.0:
         raise ValueError("retrodiction schedule needs meas_rate > 0")
     _check_dt(model, dt)
-    sqrt_k = math.sqrt(model.meas_rate)
-    inv_dt = 1.0 / dt
     finv, qrev = _backward_ops(model, dt)
+    weights, cov = _fold_schedule(
+        tuple(finv.ravel().tolist()),
+        tuple(qrev.ravel().tolist()),
+        math.sqrt(model.meas_rate),
+        1.0 / dt,
+        n,
+    )
+    return weights.copy(), cov.copy()
 
+
+@lru_cache(maxsize=16)
+def _fold_schedule(finv_flat, qrev_flat, sqrt_k, inv_dt, n):
+    finv = np.array(finv_flat).reshape(2, 2)
+    qrev = np.array(qrev_flat).reshape(2, 2)
     gains = np.empty((n, 2))
     cov = PRIOR_SCALE * np.eye(2)
     for j in range(n):

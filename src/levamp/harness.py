@@ -24,6 +24,7 @@ The minimum resolvable impulse is the quadrature sum divided by r.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -39,6 +40,7 @@ from .state import GaussianState, apply_impulse
 
 CHUNK = 256
 DEFAULT_DT_PER_PERIOD = 200
+DEFAULT_WORKERS = os.cpu_count() or 1
 MIN_STATS_TRIALS = 10
 
 

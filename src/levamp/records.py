@@ -17,12 +17,15 @@ form (magic ``LKR1``) for large ensembles.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MAGIC = b"LKR1"
+_HEADER = struct.Struct("<Qdd")
+_HEADER_END = len(MAGIC) + _HEADER.size
 
 _CSV_HEADER = ["t_s", "y", "gate"]
 
@@ -125,19 +128,42 @@ def write_record_binary(record: MeasurementRecord, path) -> None:
     n = len(record)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<Qdd", n, record.t0, record.dt))
+        fh.write(_HEADER.pack(n, record.t0, record.dt))
         fh.write(record.samples.astype("<f8").tobytes())
         fh.write(record.gate.astype(np.uint8).tobytes())
 
 
 def read_record_binary(path) -> MeasurementRecord:
+    """Read a record written by :func:`write_record_binary`.
+
+    A file of n samples must hold exactly 28 + 9 n bytes, and every
+    gate byte must be 0 or 1.  Any other file raises ``ValueError``
+    naming the byte offset of the fault.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        size = os.fstat(fh.fileno()).st_size
+        magic = fh.read(len(MAGIC))
         if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        n, t0, dt = struct.unpack("<Qdd", fh.read(24))
+            raise ValueError(f"bad magic {magic!r} at offset 0, expected {MAGIC!r}")
+        if size < _HEADER_END:
+            raise ValueError(
+                f"truncated record file: header ends at offset {_HEADER_END}, "
+                f"file has {size} bytes"
+            )
+        n, t0, dt = _HEADER.unpack(fh.read(_HEADER.size))
+        expected = _HEADER_END + 9 * n
+        if size != expected:
+            kind = "truncated" if size < expected else "trailing bytes in"
+            raise ValueError(
+                f"{kind} record file: sample count {n} at offset {len(MAGIC)} needs "
+                f"{expected} bytes, file has {size}"
+            )
         samples = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(float)
-        gate = np.frombuffer(fh.read(n), dtype=np.uint8).astype(bool)
-    if samples.size != n or gate.size != n:
-        raise ValueError("truncated record file")
-    return MeasurementRecord(t0=t0, dt=dt, samples=samples, gate=gate)
+        flags = np.frombuffer(fh.read(n), dtype=np.uint8)
+    bad = np.flatnonzero(flags > 1)
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"gate byte {flags[k]} at offset {_HEADER_END + 8 * n + k}, expected 0 or 1"
+        )
+    return MeasurementRecord(t0=t0, dt=dt, samples=samples, gate=flags.astype(bool))

@@ -27,6 +27,7 @@ import numpy as np
 from .dynamics import DynamicsModel, propagate, soft_model
 from .estimation import readout_model, retrodict, riccati_steady_state
 from .harness import (
+    DEFAULT_WORKERS,
     ensemble_stats,
     fit_displacement_vs_tau,
     noise_budget,
@@ -180,7 +181,7 @@ def _criterion_6(params: OscillatorParams) -> tuple[bool, str]:
         params, r=1.01, tau=0.0,
         readout_duration=BUDGET_READOUT_PERIODS * params.period_s,
     )
-    ensemble = run_ensemble(schedule, params, 2000, SEED + 6, workers=4)
+    ensemble = run_ensemble(schedule, params, 2000, SEED + 6, workers=DEFAULT_WORKERS)
     sigma = ensemble_stats(ensemble).sigma
     offset = math.sqrt(2.0 * params.n_init + 1.0 + 1.0 / math.sqrt(params.eta))
     ok = abs(sigma - offset) <= 0.15
@@ -197,7 +198,7 @@ def _criterion_7(params: OscillatorParams) -> tuple[bool, str]:
             params, r=r, tau=0.0,
             readout_duration=BUDGET_READOUT_PERIODS * params.period_s,
         )
-        ensemble = run_ensemble(schedule, params, 5000, SEED + 7, workers=4)
+        ensemble = run_ensemble(schedule, params, 5000, SEED + 7, workers=DEFAULT_WORKERS)
         sigma = ensemble_stats(ensemble).sigma
         model = noise_budget(params, r).sigma_tot
         rel = abs(sigma / model - 1.0)
@@ -217,9 +218,9 @@ def _criterion_8(params: OscillatorParams) -> tuple[bool, str]:
         ensembles = []
         for tau in taus:
             schedule = build_for_ratio(params, r, tau)
-            ensembles.append(
-                run_ensemble(schedule, params, 2000, SEED + 80 + j, workers=4)
-            )
+            ensembles.append(run_ensemble(
+                schedule, params, 2000, SEED + 80 + j, workers=DEFAULT_WORKERS
+            ))
         fit = fit_displacement_vs_tau(ensembles)
         ratios.append(fit.k / max(r, 1.0))
     spread = max(ratios) / min(ratios) - 1.0
@@ -238,7 +239,7 @@ def _criterion_9(params: OscillatorParams) -> tuple[bool, str]:
     schedule = build_conventional(
         ideal, tau=0.0, readout_duration=BUDGET_READOUT_PERIODS * ideal.period_s
     )
-    ensemble = run_ensemble(schedule, ideal, 2000, SEED + 9, workers=4)
+    ensemble = run_ensemble(schedule, ideal, 2000, SEED + 9, workers=DEFAULT_WORKERS)
     sigma = ensemble_stats(ensemble).sigma
     rel = abs(sigma / math.sqrt(2.0) - 1.0)
     ok = analytic_ok and rel <= 0.05
@@ -252,7 +253,7 @@ def _criterion_10(params: OscillatorParams) -> tuple[bool, str]:
     """Headline single-trial sensitivity at r = sqrt(12) in keV/c and dB."""
     curve = sensitivity_curve(
         params, [R12], 20000, SEED + 10,
-        readout_periods=BUDGET_READOUT_PERIODS, workers=8,
+        readout_periods=BUDGET_READOUT_PERIODS, workers=DEFAULT_WORKERS,
     )
     pt = curve.points[0]
     ok = (
@@ -287,7 +288,7 @@ def _criterion_11(params: OscillatorParams) -> tuple[bool, str]:
 def _criterion_12(params: OscillatorParams) -> tuple[bool, str]:
     """Reported covariance is honest: normalized errors have unit variance."""
     schedule = build_amplified(params, r=2.0, tau=100e-9)
-    ensemble = run_ensemble(schedule, params, 2000, SEED + 12, workers=4)
+    ensemble = run_ensemble(schedule, params, 2000, SEED + 12, workers=DEFAULT_WORKERS)
     err = ensemble.truths - ensemble.outcomes
     var_q = float(np.var(err[:, 0], ddof=1) / ensemble.est_cov[0, 0])
     var_p = float(np.var(err[:, 1], ddof=1) / ensemble.est_cov[1, 1])

@@ -9,6 +9,7 @@ from levamp._kernels import filter_backward
 from levamp.dynamics import base_model, propagate, transition
 from levamp.estimation import (
     FilterState,
+    _fold_schedule,
     estimate_trial_outcome,
     kalman_forward,
     readout_model,
@@ -282,6 +283,44 @@ def test_precomputed_schedule_reproduces_retrodiction():
     fast = filter_backward(y[None, :], weights)[0]
     assert np.max(np.abs(fast - ref.estimate)) < 1e-12
     assert np.max(np.abs(cov_target - ref.cov)) < 1e-12
+
+
+def test_writing_into_a_schedule_leaves_the_cache_intact():
+    first_weights, first_cov = retrodiction_schedule(MODEL, DT, 400)
+    weights, cov = retrodiction_schedule(MODEL, DT, 400)
+    weights[:] = np.nan
+    cov[:] = np.nan
+    again = retrodiction_schedule(MODEL, DT, 400)
+    assert np.array_equal(again[0], first_weights)
+    assert np.array_equal(again[1], first_cov)
+
+
+def test_each_cached_key_equals_its_own_cold_fold_bit_for_bit():
+    cases = [
+        (MODEL, DT, 300),
+        (MODEL, DT / 2.0, 300),
+        (MODEL, DT, 301),
+        (readout_model(PARAMS.with_(eta=0.5)), DT, 300),
+    ]
+    cold = []
+    for args in cases:
+        _fold_schedule.cache_clear()
+        cold.append(retrodiction_schedule(*args))
+    _fold_schedule.cache_clear()
+    for args in cases:
+        retrodiction_schedule(*args)
+    for args, (weights, cov) in zip(cases, cold):
+        hit = retrodiction_schedule(*args)
+        assert np.array_equal(hit[0], weights) and np.array_equal(hit[1], cov)
+    assert _fold_schedule.cache_info().hits == len(cases)
+    assert not np.array_equal(cold[0][0], cold[3][0])
+
+
+def test_a_non_integer_sample_count_is_rejected():
+    with pytest.raises(TypeError):
+        retrodiction_schedule(MODEL, DT, 2.5)
+    with pytest.raises(ValueError, match="at least one sample"):
+        retrodiction_schedule(MODEL, DT, 0)
 
 
 def make_readout_record(mean_at_zero, n=5 * 200):

@@ -1,7 +1,11 @@
 """Measurement record container and its CSV / binary round trips."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from levamp.records import (
     MeasurementRecord,
@@ -97,6 +101,81 @@ def test_binary_rejects_truncation(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) - 7])
     with pytest.raises(ValueError, match="truncated"):
+        read_record_binary(path)
+
+
+def _lkr1_bytes(tmp_path, rec):
+    path = tmp_path / "rec.lkr"
+    write_record_binary(rec, path)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "mutate, match",
+    [
+        (lambda data: data[:20], "offset 28"),
+        (lambda data: data[:4] + struct.pack("<Q", 2**63) + data[12:], "offset 4"),
+        (lambda data: data + b"\x00", "trailing bytes.*offset 4"),
+        (lambda data: data[:-1] + b"\x07", "gate byte 7 at offset 126"),
+    ],
+    ids=["short-header", "huge-count", "trailing-byte", "gate-byte-7"],
+)
+def test_binary_faults_name_the_byte_offset(tmp_path, mutate, match):
+    path, data = _lkr1_bytes(tmp_path, make_record(n=11))
+    assert len(data) == 28 + 9 * 11
+    path.write_bytes(mutate(data))
+    with pytest.raises(ValueError, match=match):
+        read_record_binary(path)
+
+
+_PROPERTY = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@st.composite
+def records(draw):
+    gate = draw(st.lists(st.booleans(), max_size=12))
+    samples = [
+        draw(st.floats(allow_nan=not on, allow_infinity=not on)) for on in gate
+    ]
+    return MeasurementRecord(
+        t0=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        dt=draw(st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)),
+        samples=np.array(samples, dtype=float),
+        gate=np.array(gate, dtype=bool),
+    )
+
+
+@_PROPERTY
+@given(rec=records())
+def test_any_record_round_trips_through_lkr1_bit_for_bit(tmp_path, rec):
+    path, _ = _lkr1_bytes(tmp_path, rec)
+    back = read_record_binary(path)
+    assert struct.pack("<dd", back.t0, back.dt) == struct.pack("<dd", rec.t0, rec.dt)
+    assert back.samples.tobytes() == rec.samples.tobytes()
+    assert np.array_equal(back.gate, rec.gate)
+
+
+@_PROPERTY
+@given(rec=records())
+def test_every_truncation_of_an_lkr1_file_is_rejected(tmp_path, rec):
+    path, data = _lkr1_bytes(tmp_path, rec)
+    for length in range(len(data)):
+        path.write_bytes(data[:length])
+        with pytest.raises(ValueError, match="offset"):
+            read_record_binary(path)
+
+
+@_PROPERTY
+@given(rec=records(), extra=st.binary(min_size=1, max_size=20))
+def test_appended_bytes_are_rejected(tmp_path, rec, extra):
+    path, data = _lkr1_bytes(tmp_path, rec)
+    path.write_bytes(data + extra)
+    with pytest.raises(ValueError, match="trailing bytes"):
         read_record_binary(path)
 
 
