@@ -17,6 +17,7 @@ from typing import Any
 
 from .harness import MIN_STATS_TRIALS
 from .params import OscillatorParams, kev_c_to_momentum
+from .protocol import FEEDBACK_HOLD_TIME_CONSTANTS
 
 # Squeezing beyond this is outside the validated regime: the soft trap
 # becomes so weak that static force gradients and anharmonicity, none of
@@ -64,6 +65,16 @@ def _require(cond: bool, key: str, constraint: str, value: Any) -> None:
         raise ConfigError(f"config key '{key}' must be {constraint}, got {value!r}")
 
 
+def _number(value: Any, key: str, constraint: str = "a number") -> float:
+    """``value`` as a float; bools, non-numbers and ints beyond float range fail."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             key, constraint, value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"config key '{key}' must be {constraint} within float range") from None
+
+
 def require_finite_kick(params: OscillatorParams, tau_ns: float, key: str) -> None:
     """Reject a pulse length (from ``key``) whose kick overflows."""
     _require(math.isfinite(params.kappa_imp * params.pulse_voltage_v * (tau_ns / 1e9)), key,
@@ -71,8 +82,30 @@ def require_finite_kick(params: OscillatorParams, tau_ns: float, key: str) -> No
              tau_ns)
 
 
+def _require_finite_derived(params: OscillatorParams, readout_periods: float) -> None:
+    """Reject values that are finite but overflow once converted: a tiny
+    gamma_fb_hz gives an infinite feedback hold, a tiny freq_hz an
+    infinite period, soft span and readout."""
+    derived = [
+        ("freq_hz", params.freq_hz,
+         (params.omega, params.period_s, math.pi * R_MAX / (2.0 * params.omega))),
+        ("gamma_qb_hz", params.gamma_qb_hz, (4.0 * params.gamma_qb,)),
+        ("gamma_fb_hz", params.gamma_fb_hz,
+         (params.gamma_fb, FEEDBACK_HOLD_TIME_CONSTANTS / params.gamma_fb)),
+        ("readout_periods", readout_periods, (readout_periods * params.period_s,)),
+        ("mass_kg", params.mass_kg, (params.p_zp_report_kev_c(),)),
+    ]
+    for key, value, results in derived:
+        _require(all(0.0 < x < math.inf for x in results), key,
+                 "a value whose derived durations, rates and momenta stay finite and > 0", value)
+
+
 def config_from_dict(raw: dict[str, Any]) -> RunConfig:
-    """Build a RunConfig from a parsed JSON object, validating everything."""
+    """Build a RunConfig from a parsed JSON object, validating everything.
+
+    Every fault raises ConfigError naming the key, and an accepted
+    config builds finite schedules for every ratio up to R_MAX.
+    """
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(raw).__name__}")
     known = _PARAM_KEYS | set(_RUN_KEY_DEFAULTS)
@@ -87,15 +120,13 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
             if value is None:
                 param_kwargs["p_zp_override"] = None
                 continue
-            _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                     key, "a number or null", value)
-            _require(0.0 < float(value) < math.inf, key, "finite and > 0, or null", value)
-            param_kwargs["p_zp_override"] = kev_c_to_momentum(float(value))
+            value = _number(value, key, "a number or null")
+            _require(0.0 < value < math.inf, key, "finite and > 0, or null", value)
+            param_kwargs["p_zp_override"] = kev_c_to_momentum(value)
             continue
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                 key, "a number", value)
-        _require(math.isfinite(float(value)), key, "finite", value)
-        param_kwargs[key] = float(value)
+        value = _number(value, key)
+        _require(math.isfinite(value), key, "finite", value)
+        param_kwargs[key] = value
     try:
         params = OscillatorParams(**param_kwargs)
     except ValueError as exc:
@@ -113,30 +144,24 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
     r_grid = run["r_grid"]
     _require(isinstance(r_grid, (list, tuple)) and len(r_grid) >= 1,
              "r_grid", "a non-empty array", r_grid)
+    r_grid = tuple(_number(r, "r_grid", "an array of numbers") for r in r_grid)
     for r in r_grid:
-        _require(isinstance(r, (int, float)) and not isinstance(r, bool),
-                 "r_grid", "an array of numbers", r_grid)
-        _require(1.0 <= float(r), "r_grid", "entries >= 1", r)
-        _require(float(r) <= R_MAX, "r_grid", f"entries <= {R_MAX:g} (validated regime)", r)
-    r_grid = tuple(float(r) for r in r_grid)
+        _require(1.0 <= r, "r_grid", "entries >= 1", r)
+        _require(r <= R_MAX, "r_grid", f"entries <= {R_MAX:g} (validated regime)", r)
     _require(len(set(r_grid)) == len(r_grid), "r_grid", "free of duplicates", list(r_grid))
 
     tau_grid = run["tau_grid_ns"]
     _require(isinstance(tau_grid, (list, tuple)) and len(tau_grid) >= 1,
              "tau_grid_ns", "a non-empty array", tau_grid)
+    tau_grid = tuple(_number(t, "tau_grid_ns", "an array of numbers") for t in tau_grid)
     for tau in tau_grid:
-        _require(isinstance(tau, (int, float)) and not isinstance(tau, bool),
-                 "tau_grid_ns", "an array of numbers", tau_grid)
-        _require(0.0 <= float(tau) < math.inf, "tau_grid_ns", "finite entries >= 0", tau)
-    tau_grid = tuple(float(t) for t in tau_grid)
-    for tau in tau_grid:
+        _require(0.0 <= tau < math.inf, "tau_grid_ns", "finite entries >= 0", tau)
         require_finite_kick(params, tau, "tau_grid_ns")
 
-    readout_periods = run["readout_periods"]
-    _require(isinstance(readout_periods, (int, float)) and not isinstance(readout_periods, bool),
-             "readout_periods", "a number", readout_periods)
-    _require(1.0 <= float(readout_periods) < math.inf, "readout_periods", "finite and >= 1",
+    readout_periods = _number(run["readout_periods"], "readout_periods")
+    _require(1.0 <= readout_periods < math.inf, "readout_periods", "finite and >= 1",
              readout_periods)
+    _require_finite_derived(params, readout_periods)
 
     dt_per_period = run["dt_per_period"]
     _require(isinstance(dt_per_period, int) and not isinstance(dt_per_period, bool),
@@ -148,7 +173,7 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
         n_trials=n_trials,
         r_grid=r_grid,
         tau_grid_ns=tau_grid,
-        readout_periods=float(readout_periods),
+        readout_periods=readout_periods,
         dt_per_period=dt_per_period,
     )
 
@@ -163,6 +188,6 @@ def load_config(path: str | Path | None) -> RunConfig:
         raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(raw)

@@ -328,7 +328,7 @@ def estimate_trial_outcome(
         candidates = [records]
     else:
         candidates = list(records)
-    tol = 1e-9 * max(abs(schedule.t_zero), schedule.readout_duration)
+    tol = 1e-9 * schedule.readout_duration
     post = [r for r in candidates if r.t0 >= schedule.t_zero - tol]
     if not post:
         raise ValueError("no post-protocol record found (need one starting at t_zero)")

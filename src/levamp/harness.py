@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .dynamics import DynamicsModel, propagate, soft_model, transition
+from .dynamics import DynamicsModel, base_model, propagate, soft_model, transition
 from .estimation import readout_model, retrodiction_schedule
 from .params import OscillatorParams, db_ratio
 from .protocol import ProtocolSchedule, Segment, build_for_ratio, require_valid
@@ -53,12 +53,10 @@ def model_for_segment(params: OscillatorParams, segment: Segment) -> DynamicsMod
     """
     if segment.kind == "soft":
         return soft_model(params, 1.0 / segment.freq_ratio)
-    return DynamicsModel(
-        omega=params.omega,
-        freq_ratio=segment.freq_ratio,
-        gamma_fb=params.gamma_fb if segment.feedback_on else 0.0,
-        diffusion_p=4.0 * params.gamma_qb * segment.freq_ratio**2,
-        meas_rate=4.0 * params.eta * params.gamma_qb if segment.measurement_on else 0.0,
+    if segment.freq_ratio != 1.0:
+        raise ValueError(f"{segment.kind} segment must run at the base frequency")
+    return base_model(
+        params, measurement_on=segment.measurement_on, feedback_on=segment.feedback_on
     )
 
 
@@ -96,84 +94,76 @@ class Ensemble:
         return 0 if self.mode == "amplified" else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SegmentPlan:
-    kind: str
-    model: DynamicsModel | None
-    n_steps: int
-    dt: float
+    """A kick (``f`` is None) adding ``kick_dp`` to P, or ``n_steps`` steps
+    x -> F x + L w; ``w_at``/``v_at`` locate its process and record normals
+    in the trial's draws, None where it has no diffusion or no detection."""
+
     t_begin: float
-    kick_dp: float
-    is_readout: bool
+    kick_dp: float = 0.0
+    n_steps: int = 0
+    dt: float = 0.0
+    f: np.ndarray | None = None
+    l: np.ndarray | None = None
+    sqrt_k: float = 0.0
+    noise_scale: float = 0.0
+    w_at: int | None = None
+    v_at: int | None = None
+    is_readout: bool = False
 
 
 def _plan_segments(
     schedule: ProtocolSchedule,
     params: OscillatorParams,
     dt_per_period: int,
-) -> list[_SegmentPlan]:
+) -> tuple[list[_SegmentPlan], int]:
+    """Plan the simulated segments in timeline order; returns (plans, draws).
+
+    Each trial draws all of its normals in one call, laid out as 2 for
+    the initial state, then per segment in timeline order first the
+    process normals, then the record normals.  The layout depends only
+    on the schedule, never on data.
+    """
     require_valid(schedule)
     plans: list[_SegmentPlan] = []
+    total = 2
     for t_begin, _, seg in schedule.boundaries():
-        if seg.kind == "feedback_hold":
-            continue
         if seg.kind == "kick":
-            plans.append(_SegmentPlan("kick", None, 0, 0.0, t_begin, seg.kick_dp, False))
+            plans.append(_SegmentPlan(t_begin, kick_dp=seg.kick_dp))
             continue
-        if seg.duration_s == 0.0:
+        if seg.kind == "feedback_hold" or seg.duration_s == 0.0:
             continue
         model = model_for_segment(params, seg)
         target = model.local_period / dt_per_period
         n_steps = max(1, math.ceil(seg.duration_s / target - 1e-9))
         dt = seg.duration_s / n_steps
+        f, qd = transition(model, dt)
+        w_at = v_at = None
+        if model.diffusion_p > 0.0:
+            w_at, total = total, total + 2 * n_steps
+        if model.meas_rate > 0.0:
+            v_at, total = total, total + n_steps
         plans.append(
             _SegmentPlan(
-                seg.kind, model, n_steps, dt, t_begin, 0.0, seg.kind == "readout"
+                t_begin, n_steps=n_steps, dt=dt, f=f, l=_kernels.chol2x2(qd),
+                sqrt_k=math.sqrt(model.meas_rate), noise_scale=1.0 / math.sqrt(dt),
+                w_at=w_at, v_at=v_at, is_readout=seg.kind == "readout",
             )
         )
-    return plans
+    return plans, total
 
 
 def _trial_init_std(params: OscillatorParams) -> float:
     return math.sqrt(2.0 * params.n_init + 1.0)
 
 
-def _segment_ops(plans: list[_SegmentPlan]) -> list:
-    """Kernel operands (F, L, sqrt_k, noise_scale) per segment, None for kicks."""
-    ops = []
-    for plan in plans:
-        if plan.kind == "kick":
-            ops.append(None)
-            continue
-        f, qd = transition(plan.model, plan.dt)
-        ops.append(
-            (f, _kernels.chol2x2(qd), math.sqrt(plan.model.meas_rate), 1.0 / math.sqrt(plan.dt))
-        )
-    return ops
-
-
-def _simulate_chunk(start, stop, plans, ops, master_seed, init_std):
-    """Simulate trials [start, stop).
+def _simulate_chunk(start, stop, plans, total, master_seed, init_std):
+    """Simulate trials [start, stop), each drawing ``total`` normals.
 
     Returns the true states at t_zero, (m, 2), and one (plan, records)
     pair per measured segment in timeline order, records being (m, n).
-
-    Each trial draws all of its normals in one call, laid out as 2 for
-    the initial state, then per segment in timeline order first the
-    process normals (n, 2), then the record normals (n).  The layout
-    depends only on the schedule, never on data.
     """
-    layout = []
-    total = 2
-    for plan in plans:
-        w_at = v_at = None
-        if plan.kind != "kick":
-            if plan.model.diffusion_p > 0.0:
-                w_at, total = total, total + 2 * plan.n_steps
-            if plan.model.meas_rate > 0.0:
-                v_at, total = total, total + plan.n_steps
-        layout.append((w_at, v_at))
-
     m = stop - start
     z = np.empty((m, total))
     for i in range(m):
@@ -182,25 +172,25 @@ def _simulate_chunk(start, stop, plans, ops, master_seed, init_std):
     x = init_std * z[:, :2]
     truths = None
     records = []
-    for plan, op, (w_at, v_at) in zip(plans, ops, layout):
-        if plan.kind == "kick":
+    for plan in plans:
+        if plan.f is None:
             x[:, 1] += plan.kick_dp
             continue
         if plan.is_readout:
             truths = x.copy()
-        f, l, sqrt_k, noise_scale = op
         n = plan.n_steps
-        if w_at is None:
+        if plan.w_at is None:
             w = np.broadcast_to(0.0, (m, n, 2))
         else:
-            w = z[:, w_at:w_at + 2 * n].reshape(m, n, 2)
-        if v_at is None:
-            x = _kernels.roll(x, f, l, w)
+            w = z[:, plan.w_at:plan.w_at + 2 * n].reshape(m, n, 2)
+        if plan.v_at is None:
+            x = _kernels.roll(x, plan.f, plan.l, w)
         else:
-            x, y = _kernels.roll_record(x, f, l, w, z[:, v_at:v_at + n], sqrt_k, noise_scale)
+            x, y = _kernels.roll_record(
+                x, plan.f, plan.l, w, z[:, plan.v_at:plan.v_at + n], plan.sqrt_k,
+                plan.noise_scale,
+            )
             records.append((plan, y))
-    if truths is None:
-        truths = x.copy()
     return truths, records
 
 
@@ -220,11 +210,8 @@ def run_ensemble(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    plans = _plan_segments(schedule, params, dt_per_period)
-    ro = next((p for p in plans if p.is_readout), None)
-    if ro is None:
-        raise ValueError("schedule has no readout segment")
-    ops = _segment_ops(plans)
+    plans, total = _plan_segments(schedule, params, dt_per_period)
+    ro = plans[-1]  # a valid schedule ends with a measured readout
 
     weights, est_cov = retrodiction_schedule(readout_model(params), ro.dt, ro.n_steps)
     init_std = _trial_init_std(params)
@@ -234,9 +221,8 @@ def run_ensemble(
 
     def work(start: int) -> None:
         stop = min(start + CHUNK, n_trials)
-        chunk_truths, records = _simulate_chunk(start, stop, plans, ops, master_seed, init_std)
-        readout = next(y for plan, y in records if plan is ro)
-        est = _kernels.filter_backward(readout, weights)
+        chunk_truths, records = _simulate_chunk(start, stop, plans, total, master_seed, init_std)
+        est = _kernels.filter_backward(records[-1][1], weights)
         bad = np.flatnonzero(~np.isfinite(np.hstack([est, chunk_truths])).all(axis=1))
         if bad.size:
             raise RuntimeError(
@@ -285,10 +271,9 @@ def simulate_trial(
     outcome's covariance bit for bit and its mean to rounding: the
     per-sample filter and the batched kernel order their sums differently.
     """
-    plans = _plan_segments(schedule, params, dt_per_period)
+    plans, total = _plan_segments(schedule, params, dt_per_period)
     truths, records = _simulate_chunk(
-        trial_index, trial_index + 1, plans, _segment_ops(plans), master_seed,
-        _trial_init_std(params),
+        trial_index, trial_index + 1, plans, total, master_seed, _trial_init_std(params)
     )
     return truths[0], [
         MeasurementRecord(

@@ -1,10 +1,11 @@
 """Segment timelines for the conventional and amplified kick protocols.
 
 A protocol is an ordered, contiguous list of constant-parameter
-segments.  Times are anchored so that t = 0 is the protocol reference
-``t_zero``: the moment the trap returns to its base stiffness for the
-amplified sequence, or the kick itself for the conventional one.  The
-readout segment starts at ``t_zero`` in both cases.
+segments, and that list is the whole timeline: every anchor is derived
+from it.  t = 0 is the protocol reference ``t_zero``, the start of the
+readout segment: the moment the trap returns to its base stiffness for
+the amplified sequence, or the kick itself for the conventional one.
+Segments before the readout are laid out backwards from it.
 
 Amplified timing, relative to t_zero, with Omega the base angular
 frequency and r the squeeze ratio:
@@ -26,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .params import OscillatorParams, impulse_from_pulse
 
@@ -72,27 +74,22 @@ class Segment:
 
 @dataclass(frozen=True)
 class ProtocolSchedule:
-    """Ordered contiguous segments plus the timing anchors.
+    """Ordered contiguous segments; the timing anchors derive from them.
 
     Attributes
     ----------
     segments : tuple of Segment
-    t_kick : float
-        Absolute time of the impulse, seconds.
-    t_zero : float
-        Protocol reference time; the readout starts here.
-    readout_duration : float
-        Length of the readout segment, seconds.
     tau_s : float
         Electrical pulse length that produced the kick (metadata for
         scaling fits; does not affect the timeline).
+    t_zero : float
+        Protocol reference time, fixed at 0.0: the readout starts here.
     """
 
     segments: tuple[Segment, ...]
-    t_kick: float
-    t_zero: float
-    readout_duration: float
     tau_s: float = 0.0
+
+    t_zero: ClassVar[float] = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -102,9 +99,19 @@ class ProtocolSchedule:
         return sum(s.duration_s for s in self.segments)
 
     @property
+    def readout_duration(self) -> float:
+        """Length of the readout segment, seconds; 0.0 without one."""
+        return next((s.duration_s for s in self.segments if s.kind == "readout"), 0.0)
+
+    @property
     def t_start(self) -> float:
         """Start time of the first segment."""
-        return self.t_zero + self.readout_duration - self.total_duration
+        return self.boundaries()[0][0] if self.segments else self.t_zero
+
+    @property
+    def t_kick(self) -> float:
+        """Absolute time of the first kick segment; NaN without one."""
+        return next((t0 for t0, _, s in self.boundaries() if s.kind == "kick"), math.nan)
 
     def boundaries(self) -> list[tuple[float, float, Segment]]:
         """Absolute (t_begin, t_end) for each segment in order.
@@ -161,13 +168,7 @@ def _default_readout(params: OscillatorParams, readout_duration: float | None) -
 
 def _hold_segment(params: OscillatorParams) -> Segment:
     duration = FEEDBACK_HOLD_TIME_CONSTANTS / params.gamma_fb
-    return Segment(
-        kind="feedback_hold",
-        duration_s=duration,
-        freq_ratio=1.0,
-        measurement_on=True,
-        feedback_on=True,
-    )
+    return Segment("feedback_hold", duration, measurement_on=True, feedback_on=True)
 
 
 def build_conventional(
@@ -188,27 +189,11 @@ def build_conventional(
     dp = impulse_from_pulse(params, params.pulse_voltage_v, tau)
     segments = (
         _hold_segment(params),
-        Segment(
-            kind="free_base",
-            duration_s=float(release_lead),
-            measurement_on=True,
-            feedback_on=False,
-        ),
-        Segment(kind="kick", duration_s=0.0, kick_dp=dp),
-        Segment(
-            kind="readout",
-            duration_s=readout_duration,
-            measurement_on=True,
-            feedback_on=False,
-        ),
+        Segment("free_base", float(release_lead), measurement_on=True),
+        Segment("kick", 0.0, kick_dp=dp),
+        Segment("readout", readout_duration, measurement_on=True),
     )
-    return ProtocolSchedule(
-        segments=segments,
-        t_kick=0.0,
-        t_zero=0.0,
-        readout_duration=readout_duration,
-        tau_s=float(tau),
-    )
+    return ProtocolSchedule(segments, tau_s=float(tau))
 
 
 def build_amplified(
@@ -229,33 +214,15 @@ def build_amplified(
         )
     readout_duration = _default_readout(params, readout_duration)
     dp = impulse_from_pulse(params, params.pulse_voltage_v, tau)
-    quarter = math.pi * r / (2.0 * params.omega)
-    soft = Segment(
-        kind="soft",
-        duration_s=quarter,
-        freq_ratio=1.0 / r,
-        measurement_on=False,
-        feedback_on=False,
-    )
+    soft = Segment("soft", math.pi * r / (2.0 * params.omega), freq_ratio=1.0 / r)
     segments = (
         _hold_segment(params),
         soft,
-        Segment(kind="kick", duration_s=0.0, kick_dp=dp),
+        Segment("kick", 0.0, kick_dp=dp),
         soft,
-        Segment(
-            kind="readout",
-            duration_s=readout_duration,
-            measurement_on=True,
-            feedback_on=False,
-        ),
+        Segment("readout", readout_duration, measurement_on=True),
     )
-    return ProtocolSchedule(
-        segments=segments,
-        t_kick=-quarter,
-        t_zero=0.0,
-        readout_duration=readout_duration,
-        tau_s=float(tau),
-    )
+    return ProtocolSchedule(segments, tau_s=float(tau))
 
 
 def build_for_ratio(
@@ -273,9 +240,12 @@ def build_for_ratio(
 def validate(schedule: ProtocolSchedule) -> list[str]:
     """Audit a schedule; returns a list of violations, empty when ok.
 
-    Checks timeline consistency against the anchors, the gating rules
-    for soft segments, and that the kick bisects the soft span of an
-    amplified sequence. Never raises.
+    Checks the segment list alone: exactly one zero-duration kick and
+    one readout, the readout last, measuring without feedback for a
+    positive duration (the model retrodiction assumes), soft segments
+    gated off, every other segment at the base frequency, and, for an
+    amplified sequence, that the kick segment begins at the midpoint of
+    the soft span (maximum squeezing).  Never raises.
     """
     violations: list[str] = []
     segments = schedule.segments
@@ -297,27 +267,17 @@ def validate(schedule: ProtocolSchedule) -> list[str]:
     if len(readouts) != 1:
         violations.append("schedule must contain exactly one readout segment")
         return violations
-
-    scale = max(abs(schedule.total_duration), abs(schedule.readout_duration), 1e-30)
-    bounds = schedule.boundaries()
-
-    if abs(readouts[0].duration_s - schedule.readout_duration) > _REL_TOL * scale:
-        violations.append("non-contiguous timeline")
     if segments[-1].kind != "readout":
-        violations.append("non-contiguous timeline")
+        violations.append("readout must be the last segment")
+    readout = readouts[0]
+    if not (readout.duration_s > 0.0 and readout.measurement_on and not readout.feedback_on):
+        violations.append("readout must measure, without feedback, for a positive duration")
 
-    soft_bounds = [(t0, t1) for t0, t1, s in bounds if s.kind == "soft"]
-    if soft_bounds:
-        span_start = soft_bounds[0][0]
-        span_end = soft_bounds[-1][1]
-        span = span_end - span_start
-        midpoint = 0.5 * (span_start + span_end)
-        if abs(schedule.t_kick - midpoint) > _REL_TOL * max(span, scale):
+    soft_bounds = [(t0, t1) for t0, t1, s in schedule.boundaries() if s.kind == "soft"]
+    if soft_bounds and kicks:
+        midpoint = 0.5 * (soft_bounds[0][0] + soft_bounds[-1][1])
+        if abs(schedule.t_kick - midpoint) > _REL_TOL * max(schedule.total_duration, 1e-30):
             violations.append("kick not at maximum squeezing")
-    elif kicks:
-        kick_time = next(t0 for t0, _, s in bounds if s.kind == "kick")
-        if abs(schedule.t_kick - kick_time) > _REL_TOL * scale:
-            violations.append("non-contiguous timeline")
 
     return violations
 

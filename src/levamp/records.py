@@ -102,19 +102,31 @@ def read_record_csv(path) -> MeasurementRecord:
     """Read a record written by :func:`write_record_csv`.
 
     The sample spacing is recovered from the first two timestamps; a
-    single-sample record gets a placeholder spacing of 1 s.
+    single-sample record gets a placeholder spacing of 1 s.  A row that
+    is not three numbers with a gate of 0 or 1, or whose gated-on sample
+    is not finite, raises ``ValueError`` naming its line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _CSV_HEADER:
             raise ValueError(f"expected header {_CSV_HEADER}, got {header}")
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError("record CSV has no samples")
-    times = np.array([float(r[0]) for r in rows])
-    samples = np.array([float(r[1]) for r in rows])
-    gate = np.array([bool(int(r[2])) for r in rows])
+    times, samples = np.empty((2, len(rows)))
+    gate = np.empty(len(rows), dtype=bool)
+    for k, (line, row) in enumerate(rows):
+        try:
+            t, y, g = row
+            times[k], samples[k], gate[k] = float(t), float(y), g == "1"
+            if g not in ("0", "1") or (gate[k] and not np.isfinite(samples[k])):
+                raise ValueError
+        except ValueError:
+            raise ValueError(
+                f"line {line}: expected t_s,y,gate numbers with gate 0 or 1 and a finite "
+                f"gated-on y, got {row}"
+            ) from None
     dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
     return MeasurementRecord(t0=float(times[0]), dt=dt, samples=samples, gate=gate)
 
@@ -136,9 +148,11 @@ def write_record_binary(record: MeasurementRecord, path) -> None:
 def read_record_binary(path) -> MeasurementRecord:
     """Read a record written by :func:`write_record_binary`.
 
-    A file of n samples must hold exactly 28 + 9 n bytes, and every
-    gate byte must be 0 or 1.  Any other file raises ``ValueError``
-    naming the byte offset of the fault.
+    A file of n samples must hold exactly 28 + 9 n bytes, t0 (offset
+    12) must be finite, dt (offset 20) positive and finite, every gate
+    byte 0 or 1, and every gated-on sample k (offset 28 + 8 k) finite.
+    Any other file raises ``ValueError`` naming the byte offset of the
+    fault.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -160,10 +174,19 @@ def read_record_binary(path) -> MeasurementRecord:
             )
         samples = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(float)
         flags = np.frombuffer(fh.read(n), dtype=np.uint8)
+    if not np.isfinite(t0):
+        raise ValueError(f"t0 {t0!r} at offset 12 must be finite")
+    if not (dt > 0.0 and np.isfinite(dt)):
+        raise ValueError(f"dt {dt!r} at offset 20 must be positive and finite")
     bad = np.flatnonzero(flags > 1)
     if bad.size:
         k = int(bad[0])
         raise ValueError(
             f"gate byte {flags[k]} at offset {_HEADER_END + 8 * n + k}, expected 0 or 1"
         )
-    return MeasurementRecord(t0=t0, dt=dt, samples=samples, gate=flags.astype(bool))
+    gate = flags.astype(bool)
+    bad = np.flatnonzero(gate & ~np.isfinite(samples))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"gated-on sample {k} is {samples[k]} at offset {_HEADER_END + 8 * k}")
+    return MeasurementRecord(t0=t0, dt=dt, samples=samples, gate=gate)

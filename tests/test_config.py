@@ -1,10 +1,15 @@
 """Configuration loading and validation."""
 
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from levamp.config import ConfigError, RunConfig, config_from_dict, load_config
+from levamp.config import R_MAX, ConfigError, RunConfig, config_from_dict, load_config
+from levamp.harness import model_for_segment
+from levamp.protocol import build_for_ratio, validate
 
 R12 = math.sqrt(12.0)
 
@@ -128,3 +133,80 @@ def test_invalid_json_names_the_file(tmp_path):
         load_config(path)
     with pytest.raises(ConfigError, match="cannot be read"):
         load_config(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({"gamma_fb_hz": 1e-320}, "gamma_fb_hz"),
+        ({"freq_hz": 1e-310, "gamma_qb_hz": 1e-311}, "freq_hz"),
+        ({"freq_hz": 1e308}, "freq_hz"),
+        ({"freq_hz": 1e307, "gamma_qb_hz": 9e306}, "gamma_qb_hz"),
+        ({"freq_hz": 2e307}, "freq_hz"),
+        ({"freq_hz": 1e-300, "gamma_qb_hz": 1e-301, "readout_periods": 1e300}, "readout_periods"),
+        ({"mass_kg": 1e-320, "p_zp_kev_c": None}, "mass_kg"),
+        ({"r_grid": [1.0, 10**400]}, "r_grid"),
+        ({"kappa_imp": 10**400}, "kappa_imp"),
+    ],
+)
+def test_values_that_overflow_once_converted_name_their_key(raw, key):
+    """Finite inputs whose hold, period, rates or float form leave float
+    range are config faults, not runtime failures."""
+    with pytest.raises(ConfigError, match=f"config key '{key}'"):
+        config_from_dict(raw)
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+)
+ANY_VALUE = st.one_of(
+    SCALARS,
+    st.lists(SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=2), SCALARS, max_size=2),
+)
+POSITIVE = st.one_of(st.floats(min_value=0.0, exclude_min=True), st.integers(1, 10**400))
+GRID = st.lists(st.one_of(st.floats(1.0, R_MAX), POSITIVE, SCALARS), max_size=3)
+CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        **{key: st.one_of(POSITIVE, ANY_VALUE) for key in (
+            "mass_kg", "freq_hz", "eta", "gamma_qb_hz", "n_init", "kappa_imp",
+            "gamma_fb_hz", "pulse_voltage_v", "p_zp_kev_c", "readout_periods",
+        )},
+        "n_trials": st.one_of(st.integers(), ANY_VALUE),
+        "r_grid": st.one_of(GRID, ANY_VALUE),
+        "tau_grid_ns": st.one_of(GRID, ANY_VALUE),
+        "dt_per_period": st.one_of(st.integers(), ANY_VALUE),
+        "no_such_key": ANY_VALUE,
+    },
+) | st.fixed_dictionaries(  # finite numbers only, so more configs pass and get built
+    {},
+    optional={
+        **{key: st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) for key in (
+            "mass_kg", "freq_hz", "gamma_qb_hz", "n_init", "kappa_imp", "gamma_fb_hz",
+            "pulse_voltage_v", "readout_periods",
+        )},
+        "p_zp_kev_c": st.none(),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CONFIGS)
+def test_config_fuzz_raises_only_config_errors_and_accepts_only_buildable_runs(raw):
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        return
+    params = cfg.params
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # pulses past 1 us warn but stay valid
+        for r in cfg.r_grid + (R_MAX,):
+            for tau_ns in cfg.tau_grid_ns:
+                schedule = build_for_ratio(
+                    params, r, tau_ns / 1e9, cfg.readout_periods * params.period_s
+                )
+                assert validate(schedule) == []
+                for seg in schedule.segments:
+                    if seg.kind != "kick":
+                        model_for_segment(params, seg)

@@ -358,10 +358,13 @@ def test_trial_outcome_requires_a_valid_schedule_and_a_readout_record():
     import dataclasses
 
     sched = build_conventional(PARAMS, 1000e-9)
-    broken = dataclasses.replace(sched, readout_duration=2.0 * sched.readout_duration)
+    amp = build_amplified(PARAMS, R12, 100e-9)
+    segments = list(amp.segments)
+    segments[1] = dataclasses.replace(segments[1], measurement_on=True)
+    gated_soft = dataclasses.replace(amp, segments=tuple(segments))
     rec = make_readout_record([0.0, 12.0])
-    with pytest.raises(ValueError, match="invalid schedule"):
-        estimate_trial_outcome(rec, MODEL, broken)
+    with pytest.raises(ValueError, match="invalid schedule: soft segment has measurement"):
+        estimate_trial_outcome(rec, MODEL, gated_soft)
     pre_only = MeasurementRecord(
         -6.0 * PERIOD, DT, np.zeros(400), np.ones(400, dtype=bool)
     )

@@ -1,11 +1,13 @@
 """Ensemble simulation, statistics, scaling fits, and the noise budget."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import levamp.harness as harness
+from levamp.dynamics import base_model
 from levamp.estimation import estimate_trial_outcome, readout_model, retrodiction_schedule
 from levamp.harness import (
     DisplacementFit,
@@ -211,6 +213,33 @@ def test_model_for_segment_gates_and_rates():
     readout = model_for_segment(PARAMS, Segment("readout", 1e-4, 1.0, True, False))
     assert readout.gamma_fb == 0.0
     assert readout.meas_rate > 0.0
+    assert readout == base_model(PARAMS) == MODEL
+
+
+def test_model_for_segment_rejects_a_softened_non_soft_segment():
+    with pytest.raises(ValueError, match="base frequency"):
+        model_for_segment(PARAMS, Segment("free_base", 1e-6, 0.5))
+
+
+def test_an_off_centre_kick_is_rejected_before_any_simulation():
+    """Soft halves of 0.5 and 1.5 quarter periods would amplify dP = 1.2
+    to 2.94 zp instead of r dP = 4.16 zp; every entry point refuses."""
+    hold, soft, kick, _, readout = AMP.segments
+    segments = (
+        hold,
+        dataclasses.replace(soft, duration_s=0.5 * soft.duration_s),
+        kick,
+        dataclasses.replace(soft, duration_s=1.5 * soft.duration_s),
+        readout,
+    )
+    shifted = dataclasses.replace(AMP, segments=segments)
+    match = "kick not at maximum squeezing"
+    with pytest.raises(ValueError, match=match):
+        run_ensemble(shifted, PARAMS, 16, 1)
+    with pytest.raises(ValueError, match=match):
+        simulate_trial(shifted, PARAMS, 1, 0)
+    with pytest.raises(ValueError, match=match):
+        run_schedule_noiseless(shifted, PARAMS, thermal_state(0.0))
 
 
 def test_statistical_honesty_of_the_reported_covariance():

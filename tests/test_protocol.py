@@ -5,12 +5,15 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from levamp.params import OscillatorParams
 from levamp.protocol import (
     DEFAULT_READOUT_PERIODS,
     DEFAULT_RELEASE_LEAD_S,
     FEEDBACK_HOLD_TIME_CONSTANTS,
+    SEGMENT_KINDS,
     ProtocolSchedule,
     Segment,
     build_amplified,
@@ -175,9 +178,27 @@ def replace_segment(schedule, index, **changes):
     return dataclasses.replace(schedule, segments=tuple(segments))
 
 
+def off_centre_kick(schedule, early=0.5, late=1.5):
+    """The amplified schedule with its soft span split unequally around the kick."""
+    hold, soft, kick, _, readout = schedule.segments
+    quarter = soft.duration_s
+    segments = (
+        hold,
+        dataclasses.replace(soft, duration_s=early * quarter),
+        kick,
+        dataclasses.replace(soft, duration_s=late * quarter),
+        readout,
+    )
+    return dataclasses.replace(schedule, segments=segments)
+
+
 def test_validate_flags_a_displaced_kick():
-    shifted = dataclasses.replace(AMP, t_kick=AMP.t_kick + 0.3 * PERIOD)
+    """Soft halves of 0.5 and 1.5 quarter periods keep the total soft span
+    but move the kick off maximum squeezing."""
+    shifted = off_centre_kick(AMP)
+    assert shifted.t_kick == pytest.approx(-1.5 * AMP.segments[1].duration_s, rel=1e-12)
     assert any("kick not at maximum squeezing" in v for v in validate(shifted))
+    assert validate(off_centre_kick(AMP, 1.0, 1.0)) == []
 
 
 def test_validate_flags_gated_soft_segments():
@@ -208,8 +229,14 @@ def test_validate_requires_one_readout():
 
 
 def test_validate_flags_a_broken_timeline():
-    bad = dataclasses.replace(AMP, readout_duration=AMP.readout_duration * 2.0)
-    assert any("non-contiguous timeline" in v for v in validate(bad))
+    """Nothing may follow the readout, and the readout must be the record
+    that retrodiction models: detection on, feedback off, not empty."""
+    late = Segment(kind="free_base", duration_s=1e-6, measurement_on=True)
+    bad = dataclasses.replace(CONV, segments=CONV.segments + (late,))
+    assert validate(bad) == ["readout must be the last segment"]
+    for change in ({"duration_s": 0.0}, {"measurement_on": False}, {"feedback_on": True}):
+        bad = replace_segment(CONV, 3, **change)
+        assert validate(bad) == ["readout must measure, without feedback, for a positive duration"]
 
 
 def test_segment_validation():
@@ -233,3 +260,88 @@ def test_schedule_json_lists_every_segment():
         assert entry["meas"] == seg.measurement_on
         assert entry["fb"] == seg.feedback_on
         assert entry["kick_dp"] == pytest.approx(seg.kick_dp, rel=1e-15)
+
+
+DURATIONS = st.floats(0.0, 1e-2)
+READOUTS = st.floats(0.0, 1e-2, exclude_min=True)
+
+
+@st.composite
+def any_segment(draw, durations=st.floats(0.0, 1e300)):
+    kind = draw(st.sampled_from(SEGMENT_KINDS))
+    return Segment(
+        kind=kind,
+        duration_s=draw(durations),
+        freq_ratio=draw(st.one_of(st.just(1.0), st.floats(1e-3, 1.0))),
+        measurement_on=draw(st.booleans()),
+        feedback_on=draw(st.booleans()),
+        kick_dp=draw(st.floats(-1e3, 1e3)) if kind == "kick" else 0.0,
+    )
+
+
+@st.composite
+def segment_lists(draw):
+    """Arbitrary segment lists, and lists shaped like the built protocols:
+    an optional hold, a kick inside an optional soft span whose halves
+    may differ, a readout, and possibly one stray segment anywhere."""
+    if draw(st.booleans()):
+        return draw(st.lists(any_segment(), max_size=7))
+    segments = []
+    if draw(st.booleans()):
+        segments.append(Segment("feedback_hold", draw(DURATIONS), 1.0, True, True))
+    kick = Segment("kick", 0.0, kick_dp=draw(st.floats(-1e3, 1e3)))
+    if draw(st.booleans()):
+        ratio = draw(st.floats(1e-3, 1.0))
+        before = draw(DURATIONS)
+        after = draw(st.one_of(st.just(before), DURATIONS))
+        segments += [Segment("soft", before, ratio), kick, Segment("soft", after, ratio)]
+    else:
+        segments.append(kick)
+    segments.append(Segment("readout", draw(READOUTS), measurement_on=True))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(segments)))
+        segments.insert(at, draw(any_segment(durations=DURATIONS)))
+    return segments
+
+
+def seconds_before_readout(segments, index):
+    """Start of segments[index] summed directly from the durations."""
+    end = next(j for j, s in enumerate(segments) if s.kind == "readout")
+    return -math.fsum(s.duration_s for s in segments[index:end])
+
+
+@given(segment_lists())
+def test_validate_passes_only_readouts_at_zero_and_centred_kicks(segments):
+    schedule = ProtocolSchedule(segments)
+    violations = validate(schedule)
+    assert all(isinstance(v, str) for v in violations)
+    if violations:
+        return
+    bounds = schedule.boundaries()
+    assert bounds[-1][2].kind == "readout" and bounds[-1][0] == 0.0
+    softs = [j for j, s in enumerate(segments) if s.kind == "soft"]
+    if softs:
+        kick = next(j for j, s in enumerate(segments) if s.kind == "kick")
+        midpoint = 0.5 * (
+            seconds_before_readout(segments, softs[0])
+            + seconds_before_readout(segments, softs[-1] + 1)
+        )
+        gap = abs(seconds_before_readout(segments, kick) - midpoint)
+        assert gap <= 1e-11 * max(schedule.total_duration, 1e-30)
+
+
+@given(DURATIONS, DURATIONS, st.floats(1e-3, 1.0), READOUTS)
+def test_equal_soft_halves_around_the_kick_validate_clean(hold, quarter, ratio, readout):
+    soft = Segment("soft", quarter, ratio)
+    schedule = ProtocolSchedule(
+        (
+            Segment("feedback_hold", hold, 1.0, True, True),
+            soft,
+            Segment("kick", 0.0, kick_dp=1.0),
+            soft,
+            Segment("readout", readout, measurement_on=True),
+        )
+    )
+    assert validate(schedule) == []
+    assert schedule.t_kick == -quarter
+    assert schedule.readout_duration == readout

@@ -87,6 +87,25 @@ def test_csv_rejects_empty_body(tmp_path):
         read_record_csv(path)
 
 
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        ("0.0,1.0,1\n1e-7,2.0\n", r"line 3: .* got \['1e-7', '2.0'\]"),
+        ("0.0,1.0,1\n1e-7,2.0,1,9\n", "line 3: expected t_s,y,gate"),
+        ("0.0,1.0,7\n", r"line 2: .*gate 0 or 1.* got \['0.0', '1.0', '7'\]"),
+        ("0.0,1.0,1\n\n1e-7,2.0,true\n", "line 4: "),
+        ("0.0,abc,1\n", "line 2: expected t_s,y,gate numbers"),
+        ("0.0,1.0,1\n1e-7,nan,0\n2e-7,inf,1\n", "line 4: .*finite gated-on y"),
+    ],
+    ids=["two-fields", "four-fields", "gate-7", "gate-word", "bad-number", "gated-on-inf"],
+)
+def test_csv_faults_name_the_line(tmp_path, body, match):
+    path = tmp_path / "bad.csv"
+    path.write_text("t_s,y,gate\n" + body)
+    with pytest.raises(ValueError, match=match):
+        read_record_csv(path)
+
+
 def test_binary_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.lkr"
     path.write_bytes(b"XXXX" + b"\x00" * 40)
@@ -117,8 +136,18 @@ def _lkr1_bytes(tmp_path, rec):
         (lambda data: data[:4] + struct.pack("<Q", 2**63) + data[12:], "offset 4"),
         (lambda data: data + b"\x00", "trailing bytes.*offset 4"),
         (lambda data: data[:-1] + b"\x07", "gate byte 7 at offset 126"),
+        (lambda data: data[:12] + struct.pack("<d", np.inf) + data[20:], "t0 inf at offset 12"),
+        (lambda data: data[:20] + struct.pack("<d", 0.0) + data[28:], "dt 0.0 at offset 20"),
+        (lambda data: data[:20] + struct.pack("<d", np.nan) + data[28:], "dt nan at offset 20"),
+        (
+            lambda data: data[:28 + 8 * 3] + struct.pack("<d", -np.inf) + data[28 + 8 * 4:],
+            "gated-on sample 3 is -inf at offset 52",
+        ),
     ],
-    ids=["short-header", "huge-count", "trailing-byte", "gate-byte-7"],
+    ids=[
+        "short-header", "huge-count", "trailing-byte", "gate-byte-7", "t0-inf", "dt-zero",
+        "dt-nan", "sample-3-inf",
+    ],
 )
 def test_binary_faults_name_the_byte_offset(tmp_path, mutate, match):
     path, data = _lkr1_bytes(tmp_path, make_record(n=11))
