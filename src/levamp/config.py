@@ -15,15 +15,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .harness import MIN_STATS_TRIALS
+from .harness import MIN_STATS_TRIALS, _plan_segments
 from .params import OscillatorParams, kev_c_to_momentum
-from .protocol import FEEDBACK_HOLD_TIME_CONSTANTS
+from .protocol import FEEDBACK_HOLD_TIME_CONSTANTS, build_for_ratio
 
 # Squeezing beyond this is outside the validated regime: the soft trap
 # becomes so weak that static force gradients and anharmonicity, none of
 # which are modeled here, dominate the real transfer. Reject rather than
 # extrapolate.
 R_MAX = 6.0
+
+# Normal draws one trial may plan: a 256-trial chunk then holds at most
+# 2.05 GB of them.  The presets plan about 3200, the selftest about 7400.
+MAX_DRAWS_PER_TRIAL = 1_000_000
 
 _PARAM_KEYS = {
     "mass_kg",
@@ -167,6 +171,22 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
     _require(isinstance(dt_per_period, int) and not isinstance(dt_per_period, bool),
              "dt_per_period", "an integer", dt_per_period)
     _require(dt_per_period >= 50, "dt_per_period", ">= 50", dt_per_period)
+    # Soft spans plan the same steps at every ratio, so the stiff and the
+    # R_MAX schedules bound every schedule this config can run.
+    readout = readout_periods * params.period_s
+    try:
+        draws = max(
+            _plan_segments(build_for_ratio(params, r, 0.0, readout), params, dt_per_period)[1]
+            for r in (1.0, R_MAX)
+        )
+    except OverflowError:  # a step count or step length past float range
+        draws = math.inf
+    if draws > MAX_DRAWS_PER_TRIAL:
+        raise ConfigError(
+            f"config keys 'readout_periods' and 'dt_per_period' must plan at most "
+            f"{MAX_DRAWS_PER_TRIAL} normal draws per trial, got {draws:.3g} from "
+            f"readout_periods = {readout_periods!r}, dt_per_period = {dt_per_period!r}"
+        )
 
     return RunConfig(
         params=params,

@@ -104,7 +104,10 @@ def read_record_csv(path) -> MeasurementRecord:
     The sample spacing is recovered from the first two timestamps; a
     single-sample record gets a placeholder spacing of 1 s.  A row that
     is not three numbers with a gate of 0 or 1, or whose gated-on sample
-    is not finite, raises ``ValueError`` naming its line.
+    is not finite, raises ``ValueError`` naming its line.  So does the
+    first row k whose t_s is off t0 + k dt by more than 1e-6 dt plus
+    (k + 2) ulp of the grid's largest time: rounding the timestamps
+    alone moves them that far.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -128,6 +131,17 @@ def read_record_csv(path) -> MeasurementRecord:
                 f"gated-on y, got {row}"
             ) from None
     dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
+    if 0.0 < dt < np.inf:
+        k = np.arange(len(times))
+        grid = times[0] + k * dt
+        slack = 1e-6 * dt + (k + 2) * np.spacing(max(abs(grid[0]), abs(grid[-1])))
+        off = np.flatnonzero(~(np.abs(times - grid) <= slack))
+        if off.size:
+            line, row = rows[off[0]]
+            raise ValueError(
+                f"line {line}: t_s is off the uniform grid t0 + k dt with t0 = "
+                f"{float(times[0])!r}, dt = {dt!r}, k = {off[0]}, got {row}"
+            )
     return MeasurementRecord(t0=float(times[0]), dt=dt, samples=samples, gate=gate)
 
 

@@ -180,6 +180,15 @@ def test_invalid_requests_exit_with_usage_error(argv, tmp_path, capsys):
         assert f"config key '{key}'" in capsys.readouterr().err
 
 
+def test_oversized_readout_exits_before_any_output(tmp_path, capsys):
+    cfg = tmp_path / "big.json"
+    cfg.write_text('{"readout_periods": 1e9, "dt_per_period": 1000000}')
+    rc = run_cli("run", "fig3-amplified", "--config", str(cfg), "--out", str(tmp_path / "y"))
+    assert rc == 1
+    assert not (tmp_path / "y").exists()
+    assert "'readout_periods' and 'dt_per_period'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [("run", "selftest"), ("selftest", "--seed", "1")])
 def test_selftest_has_one_entry_point_taking_only_a_config(argv, monkeypatch):
     def never(*args, **kwargs):

@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levamp.config import R_MAX, ConfigError, RunConfig, config_from_dict, load_config
-from levamp.harness import model_for_segment
+from levamp.config import (
+    MAX_DRAWS_PER_TRIAL,
+    R_MAX,
+    ConfigError,
+    RunConfig,
+    config_from_dict,
+    load_config,
+)
+from levamp.harness import _plan_segments, model_for_segment
+from levamp.selftest import BUDGET_READOUT_PERIODS
 from levamp.protocol import build_for_ratio, validate
 
 R12 = math.sqrt(12.0)
@@ -154,6 +162,29 @@ def test_values_that_overflow_once_converted_name_their_key(raw, key):
     range are config faults, not runtime failures."""
     with pytest.raises(ConfigError, match=f"config key '{key}'"):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"readout_periods": 1e9, "dt_per_period": 1000000},
+        {"dt_per_period": 10**400},
+        {"readout_periods": 1e307, "dt_per_period": 1000000},
+    ],
+)
+def test_draws_per_trial_are_capped(raw):
+    """A readout this long would plan up to 3e15 normals per trial."""
+    with pytest.raises(ConfigError, match="'readout_periods' and 'dt_per_period' must plan at most"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("readout_periods", [5.0, BUDGET_READOUT_PERIODS])
+def test_presets_and_selftest_plan_far_below_the_draw_cap(readout_periods):
+    params = config_from_dict({}).params
+    for r in (1.0, 2.0, R12, R_MAX):
+        schedule = build_for_ratio(params, r, 1e-6, readout_periods * params.period_s)
+        _, draws = _plan_segments(schedule, params, 200)
+        assert draws < MAX_DRAWS_PER_TRIAL / 100
 
 
 SCALARS = st.one_of(

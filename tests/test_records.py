@@ -61,6 +61,18 @@ def test_csv_round_trip_keeps_gated_off_samples_nan(tmp_path):
     assert np.allclose(back.samples[on], rec.samples[on], atol=1e-15)
 
 
+@pytest.mark.parametrize("t0, dt, n", [(1.0, 1e-7, 5000), (-3.6e-6, 9.6e-8, 2400)])
+def test_csv_round_trip_accepts_timestamps_rounded_far_from_zero(tmp_path, t0, dt, n):
+    """At t0 = 1 s the %.17g timestamps drift 2.9e-6 dt off t0 + k dt over
+    5000 samples by float rounding alone; the reader accepts its own files."""
+    rec = MeasurementRecord(t0, dt, RNG.standard_normal(n), np.ones(n, dtype=bool))
+    path = tmp_path / "rec.csv"
+    write_record_csv(rec, path)
+    back = read_record_csv(path)
+    assert back.dt == pytest.approx(dt, rel=1e-9)
+    assert np.array_equal(back.samples, rec.samples)
+
+
 def test_binary_round_trip_is_exact(tmp_path):
     rec = make_record(n=257, gaps=True)
     path = tmp_path / "rec.lkr"
@@ -96,8 +108,12 @@ def test_csv_rejects_empty_body(tmp_path):
         ("0.0,1.0,1\n\n1e-7,2.0,true\n", "line 4: "),
         ("0.0,abc,1\n", "line 2: expected t_s,y,gate numbers"),
         ("0.0,1.0,1\n1e-7,nan,0\n2e-7,inf,1\n", "line 4: .*finite gated-on y"),
+        ("0,1.0,1\n1e-7,2.0,1\n9e-7,3.0,1\n", r"line 4: t_s is off .* k = 2, got \['9e-7'"),
+        ("0,1.0,1\n1e-7,2.0,1\n\n2.00001e-7,3.0,1\n", "line 5: t_s is off"),
+        ("0,1.0,1\n1e-7,2.0,1\nnan,3.0,1\n", "line 4: t_s is off"),
     ],
-    ids=["two-fields", "four-fields", "gate-7", "gate-word", "bad-number", "gated-on-inf"],
+    ids=["two-fields", "four-fields", "gate-7", "gate-word", "bad-number", "gated-on-inf",
+         "jump", "drift-1e-5-dt", "nan-time"],
 )
 def test_csv_faults_name_the_line(tmp_path, body, match):
     path = tmp_path / "bad.csv"
