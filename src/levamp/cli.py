@@ -6,6 +6,14 @@ tools.  All randomness flows from one master seed, which defaults to a
 fixed documented value rather than entropy, so repeated runs and CI
 are deterministic.  ``--workers`` changes wall time, never bytes.
 
+A flag that sets a run input is a config override: ``--trials N`` sets
+``n_trials``, ``sweep-r --tau-ns X`` sets ``tau_grid_ns`` to ``[X]`` and
+``sweep-tau --r X`` sets ``r_grid`` to ``[X]``, in place of the
+``--config`` file's value.  The merged config is checked once, by
+``config.config_from_dict``, so a bad flag value fails like a bad
+config key and is named by its key (``sweep-tau --r 7`` names
+``r_grid``), and the manifest records the inputs that ran.
+
 Exit codes: 0 success, 1 validation error (bad flags, malformed
 config, out-of-range values), 2 runtime failure (including a failing
 selftest).
@@ -14,17 +22,15 @@ selftest).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
 from . import __version__, selftest as selftest_mod
-from .config import R_MAX, ConfigError, RunConfig, load_config, require_finite_kick
+from .config import ConfigError, RunConfig, load_config, manifest_inputs
 from .harness import (
     DEFAULT_WORKERS,
-    MIN_STATS_TRIALS,
     derive_seed,
     ensemble_stats,
     fit_displacement_vs_tau,
@@ -36,7 +42,6 @@ from .harness import (
     write_scaling_csv,
     write_sensitivity_csv,
 )
-from .params import momentum_to_kev_c
 from .protocol import build_for_ratio, schedule_to_json
 
 DEFAULT_SEED = 20260819
@@ -47,6 +52,10 @@ PRESETS = (
     "fig4-scaling",
     "fig5-sensitivity",
 )
+
+# argparse destinations that are config keys: their flags override the
+# --config file.
+_FLAG_KEYS = ("n_trials", "r_grid", "tau_grid_ns")
 
 
 class _UsageError(Exception):
@@ -68,7 +77,7 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help=f"master seed (default {DEFAULT_SEED})")
-        p.add_argument("--trials", type=int, default=None, help="trials per ensemble")
+        p.add_argument("--trials", type=int, dest="n_trials", help="trials per ensemble (n_trials)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--workers", type=int, default=DEFAULT_WORKERS,
                        help="thread count; never affects output bytes")
@@ -79,11 +88,13 @@ def _build_parser() -> _Parser:
 
     sweep_r = sub.add_parser("sweep-r", help="displacement vs squeeze ratio at fixed pulse length")
     common(sweep_r)
-    sweep_r.add_argument("--tau-ns", type=float, default=1000.0, help="pulse length in ns")
+    sweep_r.add_argument("--tau-ns", type=float, nargs=1, default=[1000.0], dest="tau_grid_ns",
+                         metavar="TAU_NS", help="pulse length in ns (tau_grid_ns = [TAU_NS])")
 
     sweep_tau = sub.add_parser("sweep-tau", help="displacement vs pulse length at fixed ratio")
     common(sweep_tau)
-    sweep_tau.add_argument("--r", type=float, default=math.sqrt(12.0), help="squeeze ratio")
+    sweep_tau.add_argument("--r", type=float, nargs=1, default=[math.sqrt(12.0)], dest="r_grid",
+                           metavar="R", help="squeeze ratio (r_grid = [R])")
 
     sens = sub.add_parser("sensitivity", help="minimum resolvable impulse across ratios")
     common(sens)
@@ -94,41 +105,16 @@ def _build_parser() -> _Parser:
 
 
 def _resolve(args) -> tuple[RunConfig, int, int]:
-    cfg = load_config(args.config)
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"config key 'seed' must be >= 0, got {args.seed}")
-    if args.trials is not None:
-        if args.trials < MIN_STATS_TRIALS:
-            raise ConfigError(
-                f"config key 'n_trials' must be >= {MIN_STATS_TRIALS}, got {args.trials}"
-            )
-        cfg = dataclasses.replace(cfg, n_trials=args.trials)
+    """The run's config (key flags override --config), seed and workers."""
+    for key, value, low in (("seed", args.seed, 0), ("workers", args.workers, 1)):
+        if value is not None and value < low:
+            raise ConfigError(f"config key '{key}' must be >= {low}, got {value}")
+    flags = vars(args)
+    cfg = load_config(args.config, {
+        key: flags[key] for key in _FLAG_KEYS if flags.get(key) is not None
+    })
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    workers = max(1, args.workers)
-    return cfg, seed, workers
-
-
-def _out_dir(args, default_name: str) -> Path:
-    out = Path(args.out) if args.out is not None else Path(f"levamp_{default_name}")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _params_payload(cfg: RunConfig) -> dict:
-    p = cfg.params
-    return {
-        "mass_kg": p.mass_kg,
-        "freq_hz": p.freq_hz,
-        "eta": p.eta,
-        "gamma_qb_hz": p.gamma_qb_hz,
-        "n_init": p.n_init,
-        "kappa_imp": p.kappa_imp,
-        "gamma_fb_hz": p.gamma_fb_hz,
-        "pulse_voltage_v": p.pulse_voltage_v,
-        "p_zp_kev_c": (
-            None if p.p_zp_override is None else momentum_to_kev_c(p.p_zp_override)
-        ),
-    }
+    return cfg, seed, args.workers
 
 
 def _write_manifest(out: Path, command: str, cfg: RunConfig, seed: int,
@@ -137,14 +123,7 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, seed: int,
         "code_version": __version__,
         "command": command,
         "seed": seed,
-        "params": _params_payload(cfg),
-        "run": {
-            "n_trials": cfg.n_trials,
-            "r_grid": list(cfg.r_grid),
-            "tau_grid_ns": list(cfg.tau_grid_ns),
-            "readout_periods": cfg.readout_periods,
-            "dt_per_period": cfg.dt_per_period,
-        },
+        **manifest_inputs(cfg),
         "outputs": sorted(outputs),
         "results": results,
     }
@@ -157,10 +136,8 @@ def _schedule_for(cfg: RunConfig, r: float, tau_s: float):
     return build_for_ratio(cfg.params, r, tau_s, cfg.readout_periods * cfg.params.period_s)
 
 
-def _run_fig3(args, cfg, seed, workers, amplified: bool) -> dict:
-    name = "fig3-amplified" if amplified else "fig3-conventional"
-    out = _out_dir(args, name)
-    r = math.sqrt(12.0) if amplified else 1.0
+def _run_fig3(out: Path, name: str, cfg: RunConfig, seed: int, workers: int) -> None:
+    r = math.sqrt(12.0) if name == "fig3-amplified" else 1.0
     tau_s = 1000e-9
     schedule = _schedule_for(cfg, r, tau_s)
     ensemble = run_ensemble(
@@ -184,17 +161,15 @@ def _run_fig3(args, cfg, seed, workers, amplified: bool) -> dict:
                     ["ensemble.csv", "schedule.json", "manifest.json"], results)
     print(f"{name}: {cfg.n_trials} trials, signal {stats.signal_mean:.4f} "
           f"+- {stats.signal_mean_se:.4f} zp, sigma {stats.sigma:.4f} -> {out}")
-    return results
 
 
-def _run_scaling(args, cfg, seed, workers, name: str,
-                 r_values, tau_values_s) -> dict:
-    out = _out_dir(args, name)
+def _run_scaling(out: Path, name: str, cfg: RunConfig, seed: int, workers: int) -> None:
+    tau_values_s = [t / 1e9 for t in cfg.tau_grid_ns]
     rows = []
     fits = []
     per_point = {}
     index = 0
-    for r in r_values:
+    for r in cfg.r_grid:
         ensembles = []
         for tau_s in tau_values_s:
             schedule = _schedule_for(cfg, r, tau_s)
@@ -223,11 +198,9 @@ def _run_scaling(args, cfg, seed, workers, name: str,
         results["k1_se"] = k1_se
     _write_manifest(out, name, cfg, seed, ["scaling.csv", "manifest.json"], results)
     print(f"{name}: {len(rows)} scaling points -> {out}")
-    return results
 
 
-def _run_sensitivity(args, cfg, seed, workers, name: str) -> dict:
-    out = _out_dir(args, name)
+def _run_sensitivity(out: Path, name: str, cfg: RunConfig, seed: int, workers: int) -> None:
     curve = sensitivity_curve(
         cfg.params, cfg.r_grid, cfg.n_trials, seed,
         readout_periods=cfg.readout_periods,
@@ -240,7 +213,6 @@ def _run_sensitivity(args, cfg, seed, workers, name: str) -> dict:
     _write_manifest(out, name, cfg, seed, ["sensitivity.csv", "manifest.json"], results)
     best = min(curve.points, key=lambda pt: pt.dp_min_kev_c)
     print(f"{name}: best dp_min = {best.dp_min_kev_c:.3f} keV/c at r = {best.r:.3f} -> {out}")
-    return results
 
 
 def main(argv=None) -> int:
@@ -256,32 +228,15 @@ def main(argv=None) -> int:
             results = selftest_mod.run_all(load_config(args.config).params)
             return 0 if all(r.passed for r in results) else 2
         cfg, seed, workers = _resolve(args)
-        if args.command == "run":
-            preset = args.preset
-            if preset == "fig3-conventional":
-                _run_fig3(args, cfg, seed, workers, amplified=False)
-            elif preset == "fig3-amplified":
-                _run_fig3(args, cfg, seed, workers, amplified=True)
-            elif preset == "fig4-scaling":
-                _run_scaling(args, cfg, seed, workers, "fig4-scaling",
-                             cfg.r_grid, [t / 1e9 for t in cfg.tau_grid_ns])
-            elif preset == "fig5-sensitivity":
-                _run_sensitivity(args, cfg, seed, workers, "fig5-sensitivity")
-        elif args.command == "sweep-r":
-            if not (math.isfinite(args.tau_ns) and args.tau_ns >= 0.0):
-                raise ConfigError(
-                    f"config key 'tau_ns' must be finite and >= 0, got {args.tau_ns}"
-                )
-            require_finite_kick(cfg.params, args.tau_ns, "tau_ns")
-            _run_scaling(args, cfg, seed, workers, "sweep-r",
-                         cfg.r_grid, [args.tau_ns / 1e9])
-        elif args.command == "sweep-tau":
-            if not (1.0 <= args.r <= R_MAX):
-                raise ConfigError(f"config key 'r' must be in [1, {R_MAX:g}], got {args.r}")
-            _run_scaling(args, cfg, seed, workers, "sweep-tau",
-                         [args.r], [t / 1e9 for t in cfg.tau_grid_ns])
-        elif args.command == "sensitivity":
-            _run_sensitivity(args, cfg, seed, workers, "sensitivity")
+        name = args.preset if args.command == "run" else args.command
+        out = Path(args.out) if args.out is not None else Path(f"levamp_{name}")
+        out.mkdir(parents=True, exist_ok=True)
+        if name.startswith("fig3-"):
+            _run_fig3(out, name, cfg, seed, workers)
+        elif name in ("fig4-scaling", "sweep-r", "sweep-tau"):
+            _run_scaling(out, name, cfg, seed, workers)
+        else:
+            _run_sensitivity(out, name, cfg, seed, workers)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

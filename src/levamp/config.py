@@ -5,18 +5,23 @@ OscillatorParams fields; run keys control ensemble size and grids.
 Unknown keys are a hard error so typos cannot silently fall back to
 defaults. Every validation error names the offending key and the
 constraint it violated.
+
+This module alone knows the keys: command-line flags reach it as
+overrides (``load_config``), and ``manifest_inputs`` writes a config
+back out as the key blocks that ``config_from_dict`` reads.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
+from .dynamics import MIN_STEPS_PER_PERIOD
 from .harness import MIN_STATS_TRIALS, _plan_segments
-from .params import OscillatorParams, kev_c_to_momentum
+from .params import OscillatorParams, kev_c_to_momentum, momentum_to_kev_c
 from .protocol import FEEDBACK_HOLD_TIME_CONSTANTS, build_for_ratio
 
 # Squeezing beyond this is outside the validated regime: the soft trap
@@ -29,27 +34,6 @@ R_MAX = 6.0
 # 2.05 GB of them.  The presets plan about 3200, the selftest about 7400.
 MAX_DRAWS_PER_TRIAL = 1_000_000
 
-_PARAM_KEYS = {
-    "mass_kg",
-    "freq_hz",
-    "eta",
-    "gamma_qb_hz",
-    "n_init",
-    "kappa_imp",
-    "gamma_fb_hz",
-    "pulse_voltage_v",
-    "p_zp_kev_c",
-}
-
-_RUN_KEY_DEFAULTS: dict[str, Any] = {
-    "n_trials": 200,
-    "r_grid": (1.0, 2.0, math.sqrt(12.0)),
-    "tau_grid_ns": (100.0, 177.827941, 316.227766, 562.341325, 1000.0),
-    "readout_periods": 5.0,
-    "dt_per_period": 200,
-}
-
-
 class ConfigError(ValueError):
     """Raised for malformed or out-of-range run configuration."""
 
@@ -57,11 +41,20 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     params: OscillatorParams = field(default_factory=OscillatorParams)
-    n_trials: int = _RUN_KEY_DEFAULTS["n_trials"]
-    r_grid: tuple[float, ...] = _RUN_KEY_DEFAULTS["r_grid"]
-    tau_grid_ns: tuple[float, ...] = _RUN_KEY_DEFAULTS["tau_grid_ns"]
-    readout_periods: float = _RUN_KEY_DEFAULTS["readout_periods"]
-    dt_per_period: int = _RUN_KEY_DEFAULTS["dt_per_period"]
+    n_trials: int = 200
+    r_grid: tuple[float, ...] = (1.0, 2.0, math.sqrt(12.0))
+    tau_grid_ns: tuple[float, ...] = (100.0, 177.827941, 316.227766, 562.341325, 1000.0)
+    readout_periods: float = 5.0
+    dt_per_period: int = 200
+
+
+# The param keys are the OscillatorParams fields, except that the
+# calibrated zero-point momentum is given in keV/c (null unpins it).
+_P_ZP_KEY = "p_zp_kev_c"
+_PARAM_KEYS = tuple(
+    _P_ZP_KEY if f.name == "p_zp_override" else f.name for f in fields(OscillatorParams)
+)
+_RUN_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "params")
 
 
 def _require(cond: bool, key: str, constraint: str, value: Any) -> None:
@@ -77,13 +70,6 @@ def _number(value: Any, key: str, constraint: str = "a number") -> float:
         return float(value)
     except OverflowError:
         raise ConfigError(f"config key '{key}' must be {constraint} within float range") from None
-
-
-def require_finite_kick(params: OscillatorParams, tau_ns: float, key: str) -> None:
-    """Reject a pulse length (from ``key``) whose kick overflows."""
-    _require(math.isfinite(params.kappa_imp * params.pulse_voltage_v * (tau_ns / 1e9)), key,
-             "a pulse length in ns whose kick kappa_imp * pulse_voltage_v * tau is finite",
-             tau_ns)
 
 
 def _require_finite_derived(params: OscillatorParams, readout_periods: float) -> None:
@@ -112,15 +98,14 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(raw).__name__}")
-    known = _PARAM_KEYS | set(_RUN_KEY_DEFAULTS)
     for key in raw:
-        if key not in known:
+        if key not in _PARAM_KEYS + _RUN_KEYS:
             raise ConfigError(f"unknown config key '{key}'")
 
     param_kwargs = {}
-    for key in _PARAM_KEYS & set(raw):
+    for key in [key for key in _PARAM_KEYS if key in raw]:
         value = raw[key]
-        if key == "p_zp_kev_c":
+        if key == _P_ZP_KEY:
             if value is None:
                 param_kwargs["p_zp_override"] = None
                 continue
@@ -136,9 +121,7 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    run = dict(_RUN_KEY_DEFAULTS)
-    for key in set(_RUN_KEY_DEFAULTS) & set(raw):
-        run[key] = raw[key]
+    run = {key: raw.get(key, getattr(RunConfig, key)) for key in _RUN_KEYS}
 
     n_trials = run["n_trials"]
     _require(isinstance(n_trials, int) and not isinstance(n_trials, bool),
@@ -160,7 +143,9 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
     tau_grid = tuple(_number(t, "tau_grid_ns", "an array of numbers") for t in tau_grid)
     for tau in tau_grid:
         _require(0.0 <= tau < math.inf, "tau_grid_ns", "finite entries >= 0", tau)
-        require_finite_kick(params, tau, "tau_grid_ns")
+        _require(math.isfinite(params.kappa_imp * params.pulse_voltage_v * (tau / 1e9)),
+                 "tau_grid_ns", "a pulse length in ns whose kick kappa_imp * pulse_voltage_v"
+                 " * tau is finite", tau)
 
     readout_periods = _number(run["readout_periods"], "readout_periods")
     _require(1.0 <= readout_periods < math.inf, "readout_periods", "finite and >= 1",
@@ -170,7 +155,8 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
     dt_per_period = run["dt_per_period"]
     _require(isinstance(dt_per_period, int) and not isinstance(dt_per_period, bool),
              "dt_per_period", "an integer", dt_per_period)
-    _require(dt_per_period >= 50, "dt_per_period", ">= 50", dt_per_period)
+    _require(dt_per_period >= MIN_STEPS_PER_PERIOD, "dt_per_period",
+             f">= {MIN_STEPS_PER_PERIOD}", dt_per_period)
     # Soft spans plan the same steps at every ratio, so the stiff and the
     # R_MAX schedules bound every schedule this config can run.
     readout = readout_periods * params.period_s
@@ -198,16 +184,31 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
     )
 
 
-def load_config(path: str | Path | None) -> RunConfig:
-    """Load a RunConfig from a JSON file; None gives all defaults."""
-    if path is None:
-        return RunConfig()
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+def manifest_inputs(cfg: RunConfig) -> dict[str, dict[str, Any]]:
+    """The ``params`` and ``run`` key blocks of ``cfg``, JSON-ready.
+
+    The inverse of ``config_from_dict``: their union read back gives
+    ``cfg`` again (``p_zp_kev_c`` to one ulp of the unit conversion).
+    """
+    p = cfg.params
+    params = {key: getattr(p, key) for key in _PARAM_KEYS if key != _P_ZP_KEY}
+    params[_P_ZP_KEY] = None if p.p_zp_override is None else momentum_to_kev_c(p.p_zp_override)
+    return {"params": params, "run": {key: getattr(cfg, key) for key in _RUN_KEYS}}
+
+
+def load_config(path: str | Path | None, overrides: dict[str, Any] | None = None) -> RunConfig:
+    """Load a RunConfig from a JSON file (None: no file) with ``overrides``
+    replacing its keys, and validate the result as one config."""
+    raw: Any = {}
+    if path is not None:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
+        try:
+            raw = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if isinstance(raw, dict):
+        raw = {**raw, **(overrides or {})}
     return config_from_dict(raw)

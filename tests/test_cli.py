@@ -108,6 +108,18 @@ def test_sweep_tau_fits_the_slope(tmp_path):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize(
+    "argv, key, grid",
+    [(("sweep-r", "--tau-ns", "500"), "tau_grid_ns", [500.0]),
+     (("sweep-tau", "--r", "2"), "r_grid", [2.0])],
+)
+def test_sweep_manifests_list_the_grid_that_ran(argv, key, grid, tmp_path):
+    out = tmp_path / "sweep"
+    assert run_cli(*argv, "--trials", "10", "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["run"][key] == grid
+
+
 def test_default_output_directory_is_named_after_the_preset(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rc = run_cli("run", "fig3-amplified", "--trials", "12", "--seed", "1")
@@ -161,6 +173,8 @@ def test_bad_config_exits_with_usage_error(tmp_path, capsys):
         ("run", "fig3-amplified", "--config",
          '{"kappa_imp": 1e308, "pulse_voltage_v": 1e10, "tau_grid_ns": [0.0]}'),
         ("sweep-r", "--tau-ns", "1e10", "--config", '{"kappa_imp": 1e300, "pulse_voltage_v": 1e8}'),
+        ("run", "fig3-amplified", "--workers", "0"),
+        ("run", "fig3-amplified", "--workers", "-4"),
     ],
 )
 def test_invalid_requests_exit_with_usage_error(argv, tmp_path, capsys):
@@ -175,8 +189,8 @@ def test_invalid_requests_exit_with_usage_error(argv, tmp_path, capsys):
     assert not (tmp_path / "y").exists()
     flag = next((a for a in argv if a.startswith("--")), None)
     if flag is not None:
-        key = {"--trials": "n_trials", "--r": "r", "--tau-ns": "tau_ns", "--seed": "seed",
-               "--config": "tau_grid_ns"}[flag]
+        key = {"--trials": "n_trials", "--r": "r_grid", "--tau-ns": "tau_grid_ns", "--seed": "seed",
+               "--config": "tau_grid_ns", "--workers": "workers"}[flag]
         assert f"config key '{key}'" in capsys.readouterr().err
 
 

@@ -1,7 +1,11 @@
 """Configuration loading and validation."""
 
+import json
 import math
+import re
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,7 @@ from levamp.config import (
     RunConfig,
     config_from_dict,
     load_config,
+    manifest_inputs,
 )
 from levamp.harness import _plan_segments, model_for_segment
 from levamp.selftest import BUDGET_READOUT_PERIODS
@@ -241,3 +246,59 @@ def test_config_fuzz_raises_only_config_errors_and_accepts_only_buildable_runs(r
                 for seg in schedule.segments:
                     if seg.kind != "kick":
                         model_for_segment(params, seg)
+
+
+# In-range values only: few fuzzed configs pass, and none with their own p_zp_kev_c.
+VALID_CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        "mass_kg": st.floats(1e-20, 1e-15),
+        "freq_hz": st.floats(1e4, 1e5),
+        "eta": st.floats(0.0, 1.0, exclude_min=True),
+        "gamma_qb_hz": st.floats(1.0, 1e4),
+        "n_init": st.floats(0.0, 100.0),
+        "kappa_imp": st.floats(0.0, 1e8),
+        "gamma_fb_hz": st.floats(1.0, 1e4),
+        "pulse_voltage_v": st.floats(-10.0, 10.0),
+        "p_zp_kev_c": st.none() | st.floats(1e-3, 1e3),
+        "n_trials": st.integers(10, 10**6),
+        "r_grid": st.lists(st.floats(1.0, R_MAX), min_size=1, max_size=3, unique=True),
+        "tau_grid_ns": st.lists(st.floats(0.0, 1e4), min_size=1, max_size=3),
+        "readout_periods": st.floats(1.0, 50.0),
+        "dt_per_period": st.integers(50, 1000),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CONFIGS | VALID_CONFIGS)
+def test_the_manifest_inputs_read_back_as_the_config(raw):
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        return
+    blocks = json.loads(json.dumps(manifest_inputs(cfg)))
+    back = config_from_dict({**blocks["params"], **blocks["run"]})
+    p_zp, p_zp_back = cfg.params.p_zp_override, back.params.p_zp_override
+    assert (p_zp is None) == (p_zp_back is None)
+    if p_zp is not None:  # keV/c <-> kg m/s may move it by one ulp
+        assert p_zp_back == pytest.approx(p_zp, rel=1e-15)
+    assert replace(back, params=back.params.with_(p_zp_override=p_zp)) == cfg
+
+
+def test_overrides_replace_the_file_keys_and_are_checked(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text('{"n_trials": 64, "r_grid": [1.0, 2.0]}')
+    cfg = load_config(path, {"r_grid": [3.0]})
+    assert (cfg.n_trials, cfg.r_grid) == (64, (3.0,))
+    assert load_config(None, {"n_trials": 12}).n_trials == 12
+    with pytest.raises(ConfigError, match="config key 'r_grid'"):
+        load_config(path, {"r_grid": [7.0]})
+
+
+def test_readme_config_paragraph_names_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = next(p for p in readme.split("\n\n") if p.startswith("`--config path.json`"))
+    named = set(re.findall(r"`([a-z][a-z0-9_]*)`", paragraph))
+    blocks = manifest_inputs(config_from_dict({}))
+    assert named == set(blocks["params"]) | set(blocks["run"])
