@@ -136,7 +136,8 @@ def _schedule_for(cfg: RunConfig, r: float, tau_s: float):
     return build_for_ratio(cfg.params, r, tau_s, cfg.readout_periods * cfg.params.period_s)
 
 
-def _run_fig3(out: Path, name: str, cfg: RunConfig, seed: int, workers: int) -> None:
+def _run_fig3(out: Path, name: str, command: str, cfg: RunConfig, seed: int,
+              workers: int) -> None:
     r = math.sqrt(12.0) if name == "fig3-amplified" else 1.0
     tau_s = 1000e-9
     schedule = _schedule_for(cfg, r, tau_s)
@@ -157,13 +158,14 @@ def _run_fig3(out: Path, name: str, cfg: RunConfig, seed: int, workers: int) -> 
         "sigma_tot": stats.sigma,
         "sigma_tot_se": stats.sigma_se,
     }
-    _write_manifest(out, f"run {name}", cfg, seed,
+    _write_manifest(out, command, cfg, seed,
                     ["ensemble.csv", "schedule.json", "manifest.json"], results)
     print(f"{name}: {cfg.n_trials} trials, signal {stats.signal_mean:.4f} "
           f"+- {stats.signal_mean_se:.4f} zp, sigma {stats.sigma:.4f} -> {out}")
 
 
-def _run_scaling(out: Path, name: str, cfg: RunConfig, seed: int, workers: int) -> None:
+def _run_scaling(out: Path, name: str, command: str, cfg: RunConfig, seed: int,
+                 workers: int) -> None:
     tau_values_s = [t / 1e9 for t in cfg.tau_grid_ns]
     rows = []
     fits = []
@@ -196,11 +198,12 @@ def _run_scaling(out: Path, name: str, cfg: RunConfig, seed: int, workers: int) 
         k1, k1_se = fit_k1(fits)
         results["k1_zp_per_s"] = k1
         results["k1_se"] = k1_se
-    _write_manifest(out, name, cfg, seed, ["scaling.csv", "manifest.json"], results)
+    _write_manifest(out, command, cfg, seed, ["scaling.csv", "manifest.json"], results)
     print(f"{name}: {len(rows)} scaling points -> {out}")
 
 
-def _run_sensitivity(out: Path, name: str, cfg: RunConfig, seed: int, workers: int) -> None:
+def _run_sensitivity(out: Path, name: str, command: str, cfg: RunConfig, seed: int,
+                     workers: int) -> None:
     curve = sensitivity_curve(
         cfg.params, cfg.r_grid, cfg.n_trials, seed,
         readout_periods=cfg.readout_periods,
@@ -210,7 +213,7 @@ def _run_sensitivity(out: Path, name: str, cfg: RunConfig, seed: int, workers: i
     results = {
         f"dp_min_kev_c_r_{pt.r:.6g}": pt.dp_min_kev_c for pt in curve.points
     }
-    _write_manifest(out, name, cfg, seed, ["sensitivity.csv", "manifest.json"], results)
+    _write_manifest(out, command, cfg, seed, ["sensitivity.csv", "manifest.json"], results)
     best = min(curve.points, key=lambda pt: pt.dp_min_kev_c)
     print(f"{name}: best dp_min = {best.dp_min_kev_c:.3f} keV/c at r = {best.r:.3f} -> {out}")
 
@@ -228,15 +231,19 @@ def main(argv=None) -> int:
             results = selftest_mod.run_all(load_config(args.config).params)
             return 0 if all(r.passed for r in results) else 2
         cfg, seed, workers = _resolve(args)
-        name = args.preset if args.command == "run" else args.command
+        if args.command == "run":
+            name, command = args.preset, f"run {args.preset}"
+        else:
+            name = command = args.command
         out = Path(args.out) if args.out is not None else Path(f"levamp_{name}")
         out.mkdir(parents=True, exist_ok=True)
         if name.startswith("fig3-"):
-            _run_fig3(out, name, cfg, seed, workers)
+            handler = _run_fig3
         elif name in ("fig4-scaling", "sweep-r", "sweep-tau"):
-            _run_scaling(out, name, cfg, seed, workers)
+            handler = _run_scaling
         else:
-            _run_sensitivity(out, name, cfg, seed, workers)
+            handler = _run_sensitivity
+        handler(out, name, command, cfg, seed, workers)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

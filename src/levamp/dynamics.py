@@ -44,8 +44,13 @@ class CovarianceError(RuntimeError):
 
     Raised instead of clamping: a non positive definite covariance
     signals an integrator bug or an unstable model, and silently
-    repairing it would corrupt every downstream statistic.
+    repairing it would corrupt every downstream statistic.  ``t`` is
+    the time the failing check named.
     """
+
+    def __init__(self, message: str, t: float | None = None) -> None:
+        super().__init__(message)
+        self.t = t
 
 
 @dataclass(frozen=True)
@@ -175,32 +180,75 @@ def _check_dt(model: DynamicsModel, dt: float) -> None:
         raise ValueError("dt must be positive and finite")
 
 
-def _check_pd(v: np.ndarray, t: float) -> None:
-    # A NaN or infinite entry makes det NaN or infinite, so one scalar
-    # test covers all four entries; it also rejects a det that overflows.
-    det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-    if not (v[0, 0] > 0.0 and v[1, 1] > 0.0 and det > 0.0 and math.isfinite(det)):
+def _check_pd(v, t: float) -> None:
+    """Raise CovarianceError unless the symmetric 2x2 ``v`` is positive definite.
+
+    ``v`` is (V_qq, V_qp, V_pp).  A NaN or infinite entry makes det NaN
+    or infinite, so one scalar test covers all three entries; it also
+    rejects a det that overflows.
+    """
+    qq, qp, pp = v
+    det = qq * pp - qp * qp
+    if not (qq > 0.0 and pp > 0.0 and det > 0.0 and math.isfinite(det)):
         raise CovarianceError(
             f"covariance lost positive definiteness at t = {t:.6e} s: "
-            f"diag = ({v[0, 0]:.3e}, {v[1, 1]:.3e}), det = {det:.3e}"
+            f"diag = ({qq:.3e}, {pp:.3e}), det = {det:.3e}",
+            t,
         )
 
 
-def _joseph_update(cov: np.ndarray, sqrt_k: float, inv_dt: float):
+# The filters carry a symmetric 2x2 covariance as the Python floats
+# (V_qq, V_qp, V_pp) and a 2x2 matrix F as (F_qq, F_qp, F_pq, F_pp):
+# at this size a numpy call costs more than the arithmetic it does.
+
+
+def _sym(a: np.ndarray) -> tuple[float, float, float]:
+    return float(a[0, 0]), float(a[0, 1]), float(a[1, 1])
+
+
+def _mat(v) -> np.ndarray:
+    return np.array([[v[0], v[1]], [v[1], v[2]]])
+
+
+def _flat(f: np.ndarray) -> tuple[float, float, float, float]:
+    return tuple(f.ravel().tolist())
+
+
+def _joseph_update(v, sqrt_k: float, inv_dt: float):
     """Condition a covariance on one record sample, in Joseph form.
 
-    For y = sqrt_k Q + xi / sqrt(dt) returns (gain, innovation
-    variance, symmetrized posterior covariance); the caller moves the
-    mean by gain times the innovation.
+    For y = sqrt_k Q + xi / sqrt(dt) returns (gain, posterior), the
+    posterior being (I - g h) V (I - g h)^T + g g^T / dt with
+    h = (sqrt_k, 0); the caller moves the mean by gain times the
+    innovation.
     """
-    s_var = sqrt_k * sqrt_k * cov[0, 0] + inv_dt
-    gain = (sqrt_k / s_var) * cov[:, 0]
-    imkc = np.eye(2)
-    imkc[:, 0] -= gain * sqrt_k
-    cov = imkc @ cov @ imkc.T + inv_dt * np.outer(gain, gain)
-    # 0.5 (C + C^T) keeps C's diagonal, so only the off-diagonal is averaged.
-    cov[0, 1] = cov[1, 0] = 0.5 * (cov[0, 1] + cov[1, 0])
-    return gain, s_var, cov
+    qq, qp, pp = v
+    c = sqrt_k / (sqrt_k * sqrt_k * qq + inv_dt)
+    gq = c * qq
+    gp = c * qp
+    a = 1.0 - sqrt_k * gq  # (I - g h) = [[a, 0], [b, 1]]
+    b = -sqrt_k * gp
+    bq = b * qq + qp
+    return (gq, gp), (
+        a * a * qq + inv_dt * gq * gq,
+        a * bq + inv_dt * gq * gp,
+        b * bq + (b * qp + pp) + inv_dt * gp * gp,
+    )
+
+
+def _predict(v, f, q):
+    """F V F^T + Q for symmetric V and Q, with F as four floats."""
+    qq, qp, pp = v
+    f00, f01, f10, f11 = f
+    aq = f00 * qq + f01 * qp  # row 0 of F V
+    ap = f00 * qp + f01 * pp
+    bq = f10 * qq + f11 * qp  # row 1 of F V
+    bp = f10 * qp + f11 * pp
+    return (
+        aq * f00 + ap * f01 + q[0],
+        aq * f10 + ap * f11 + q[1],
+        bq * f10 + bp * f11 + q[2],
+    )
 
 
 def propagate(state: GaussianState, model: DynamicsModel, duration: float) -> GaussianState:
@@ -218,6 +266,6 @@ def propagate(state: GaussianState, model: DynamicsModel, duration: float) -> Ga
     if duration == 0.0:
         return state
     f, qd = transition(model, duration)
-    cov = f @ state.cov @ f.T + qd
+    cov = _predict(_sym(state.cov), _flat(f), _sym(qd))
     _check_pd(cov, duration)
-    return GaussianState(mean=f @ state.mean, cov=cov)
+    return GaussianState(mean=f @ state.mean, cov=_mat(cov))

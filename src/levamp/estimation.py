@@ -6,15 +6,24 @@ inference.  Three entry points matter:
 
 * :func:`kalman_forward` runs the standard forward filter and is used
   for steady-state diagnostics and filtered traces.
-* :func:`retrodict` runs a backward information-form filter under the
-  time-reversed dynamics (A -> -A, same diffusion, same readout) from
-  an uninformative prior.  It yields the best estimate of the state at
-  a past time conditioned only on later data, which is exactly what a
-  kick experiment needs: the state right after the protocol, inferred
-  from the readout that follows it.
+* :func:`retrodict` runs a backward filter under the time-reversed
+  dynamics (A -> -A, same diffusion, same readout) from an effectively
+  flat prior, the backward half of the two-filter smoother (Fraser &
+  Potter, IEEE TAC 14, 387 (1969)).  It yields the best estimate of the
+  state at a past time conditioned only on later data, which is exactly
+  what a kick experiment needs: the state right after the protocol,
+  inferred from the readout that follows it.
 * :func:`riccati_steady_state` gives the conditional-covariance floor
   the forward filter settles to; with detection efficiency eta its
   position entry approaches 1/sqrt(eta) in zp units.
+
+The covariance of every one of these filters follows a Riccati
+recursion that never reads the record.  So :func:`retrodict` is a cached
+fold: per (backward step, gate, prior scale) the recursion runs once
+and yields weights with mean = record · weights, which
+:func:`retrodiction_schedule` also hands to the batched ensemble.  The
+recursion itself steps the three Python floats of the symmetric 2x2
+covariance through ``dynamics._joseph_update`` and ``dynamics._predict``.
 
 Measurement convention, shared with the simulator: a record sample
 y_k = sqrt(meas_rate) Q(t_k) + xi_k / sqrt(dt) refers to the state at
@@ -32,11 +41,17 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._kernels import filter_backward
 from .dynamics import (
+    CovarianceError,
     DynamicsModel,
     _check_dt,
     _check_pd,
+    _flat,
     _joseph_update,
+    _mat,
+    _predict,
+    _sym,
     base_model,
     transition,
 )
@@ -119,12 +134,6 @@ class FilterTrajectory:
                 )
 
 
-def _measurement_update(mean, cov, y, sqrt_k, inv_dt):
-    """Exact conditional update of (mean, cov) on one record sample."""
-    gain, _, cov = _joseph_update(cov, sqrt_k, inv_dt)
-    return mean + gain * (y - sqrt_k * mean[0]), cov
-
-
 def kalman_forward(
     record: MeasurementRecord, model: EstimationModel, init: FilterState
 ) -> FilterTrajectory:
@@ -142,40 +151,48 @@ def kalman_forward(
     if init.t > record.t0 + 1e-12 * record.dt:
         raise ValueError("init time must not be later than the record start")
 
-    n = len(record)
     sqrt_k = math.sqrt(model.meas_rate)
     inv_dt = 1.0 / record.dt
     f, qd = transition(model, record.dt)
+    f, q = _flat(f), _sym(qd)
 
-    mean = init.estimate.copy()
-    cov = init.cov.copy()
+    mean = init.estimate
+    cov = _sym(init.cov)
     gap = record.t0 - init.t
     if gap > 1e-12 * record.dt:
         f_gap, qd_gap = transition(model, gap)
         mean = f_gap @ mean
-        cov = f_gap @ cov @ f_gap.T + qd_gap
+        cov = _predict(cov, _flat(f_gap), _sym(qd_gap))
 
+    f00, f01, f10, f11 = f
+    mq, mp = mean.tolist()
     times = record.times
-    means = np.empty((n, 2))
-    covs = np.empty((n, 2, 2))
-    for k in range(n):
+    means = []
+    covs = []
+    for k, y in enumerate(record.samples.tolist()):
         if k > 0:
-            mean = f @ mean
-            cov = f @ cov @ f.T + qd
+            mq, mp = f00 * mq + f01 * mp, f10 * mq + f11 * mp
+            cov = _predict(cov, f, q)
         if model.meas_rate > 0.0:
-            mean, cov = _measurement_update(mean, cov, record.samples[k], sqrt_k, inv_dt)
+            (gq, gp), cov = _joseph_update(cov, sqrt_k, inv_dt)
+            innovation = y - sqrt_k * mq
+            mq, mp = mq + gq * innovation, mp + gp * innovation
         _check_pd(cov, times[k])
-        means[k] = mean
-        covs[k] = cov
-    return FilterTrajectory(t=times, means=means, covs=covs, direction="forward")
+        means.append((mq, mp))
+        covs.append(cov)
+    return FilterTrajectory(
+        t=times,
+        means=np.array(means),
+        covs=np.array(covs)[:, [[0, 1], [1, 2]]],
+        direction="forward",
+    )
 
 
 def _backward_ops(model: DynamicsModel, dt: float):
-    """Transition and process noise for one time-reversed step."""
+    """Transition and process noise for one time-reversed step, as floats."""
     f, qd = transition(model, dt)
-    finv = np.linalg.inv(f)
-    qrev = finv @ qd @ finv.T
-    return finv, 0.5 * (qrev + qrev.T)
+    finv = _flat(np.linalg.inv(f))
+    return finv, _predict(_sym(qd), finv, (0.0, 0.0, 0.0))
 
 
 def retrodict(
@@ -186,11 +203,14 @@ def retrodict(
 ) -> FilterState:
     """Estimate the state at ``target_time`` from a later record.
 
-    Runs the backward filter from the last sample down to the first,
-    then bridges any remaining gap to ``target_time`` under the
-    time-reversed dynamics.  Gated-off samples contribute no update
-    but still advance the (backward) prediction.
+    The backward filter from the last sample down to the first is the
+    cached fold of :func:`retrodiction_schedule`, keyed also by the
+    record's gate and ``prior_scale``: the mean at the first sample is
+    record · weights, gated-off samples weighing zero.  Any remaining
+    gap to ``target_time`` is bridged under the time-reversed dynamics.
     """
+    if not (prior_scale > 0.0 and math.isfinite(prior_scale)):
+        raise ValueError(f"prior_scale must be positive and finite, got {prior_scale!r}")
     if len(record) == 0:
         raise ValueError("empty record")
     _check_dt(model, record.dt)
@@ -203,28 +223,28 @@ def retrodict(
     if target_time > record.t0 + 1e-12 * record.dt:
         raise ValueError("target_time must not be later than the record start")
 
-    n = len(record)
-    sqrt_k = math.sqrt(model.meas_rate)
-    inv_dt = 1.0 / record.dt
     finv, qrev = _backward_ops(model, record.dt)
-
-    mean = np.zeros(2)
-    cov = prior_scale * np.eye(2)
-    for k in range(n - 1, -1, -1):
-        if record.gate[k] and model.meas_rate > 0.0:
-            mean, cov = _measurement_update(mean, cov, record.samples[k], sqrt_k, inv_dt)
-            _check_pd(cov, record.t0 + k * record.dt)
-        if k > 0:
-            mean = finv @ mean
-            cov = finv @ cov @ finv.T + qrev
+    try:
+        weights, cov = _fold_schedule(
+            finv, qrev, math.sqrt(model.meas_rate), record.dt,
+            record.gate.tobytes(), float(prior_scale),
+        )
+    except CovarianceError as err:
+        t = record.t0 + err.t
+        raise CovarianceError(
+            f"retrodiction lost positive definiteness at t = {t:.6e} s", t
+        ) from err
+    mean = filter_backward(np.where(record.gate, record.samples, 0.0)[None], weights)[0]
 
     gap = record.t0 - target_time
     if gap > 1e-12 * record.dt:
         finv_gap, qrev_gap = _backward_ops(model, gap)
-        mean = finv_gap @ mean
-        cov = finv_gap @ cov @ finv_gap.T + qrev_gap
+        mean = np.reshape(finv_gap, (2, 2)) @ mean
+        cov = _predict(cov, finv_gap, qrev_gap)
 
-    return FilterState(estimate=mean, cov=cov, t=float(target_time), direction="backward")
+    return FilterState(
+        estimate=mean, cov=_mat(cov), t=float(target_time), direction="backward"
+    )
 
 
 def retrodiction_schedule(
@@ -234,12 +254,7 @@ def retrodiction_schedule(
 
     For n samples spaced dt the mean at the first sample time is
     mean = record · weights, weights being (n, 2); cov_target does not
-    depend on the record.  With gains g_j counted from the last sample,
-    each update-then-step maps the mean by (I - sqrt_k g_j e0ᵀ) finv;
-    one backward fold of those maps gives every sample's weight.
-
-    The fold is computed once per backward step (finv, qrev, sqrt_k,
-    dt, n) and cached; every call returns fresh arrays.
+    depend on the record.  Every call returns fresh arrays.
     """
     n = operator.index(n)
     if n < 1:
@@ -249,33 +264,53 @@ def retrodiction_schedule(
     _check_dt(model, dt)
     finv, qrev = _backward_ops(model, dt)
     weights, cov = _fold_schedule(
-        tuple(finv.ravel().tolist()),
-        tuple(qrev.ravel().tolist()),
-        math.sqrt(model.meas_rate),
-        1.0 / dt,
-        n,
+        finv, qrev, math.sqrt(model.meas_rate), dt,
+        np.ones(n, dtype=bool).tobytes(), PRIOR_SCALE,
     )
-    return weights.copy(), cov.copy()
+    return weights.copy(), _mat(cov)
 
 
 @lru_cache(maxsize=16)
-def _fold_schedule(finv_flat, qrev_flat, sqrt_k, inv_dt, n):
-    finv = np.array(finv_flat).reshape(2, 2)
-    qrev = np.array(qrev_flat).reshape(2, 2)
-    gains = np.empty((n, 2))
-    cov = PRIOR_SCALE * np.eye(2)
-    for j in range(n):
-        gains[j], _, cov = _joseph_update(cov, sqrt_k, inv_dt)
-        if j < n - 1:
-            cov = finv @ cov @ finv.T + qrev
+def _fold_schedule(finv, qrev, sqrt_k, dt, gate, prior_scale):
+    """Backward filter over samples spaced dt, folded into record weights.
 
-    steps = finv - sqrt_k * gains[:, :, None] * finv[0]
-    phis = np.empty((n, 2, 2))
-    phi = np.eye(2)
-    for j in range(n - 1, -1, -1):
-        phis[j] = phi
-        phi = phi @ steps[j]
-    return np.einsum("jab,jb->ja", phis[::-1], gains[::-1]), cov
+    ``gate`` holds the bytes of the record's bool gate.  Runs the
+    covariance from prior_scale * I at the last sample down to the
+    first, checking it after every update (times counted from the first
+    sample), then folds the maps the mean goes through: with gain g_k at
+    sample k, mean = sum_k phi_k g_k y_k, where phi_0 = I and
+    phi_{k+1} = phi_k (I - sqrt_k g_k e0ᵀ) finv.  Returns read-only
+    weights (n, 2) and the covariance at the first sample as
+    (V_qq, V_qp, V_pp); neither depends on the record's values.
+    """
+    on = np.frombuffer(gate, dtype=bool).tolist()
+    n = len(on)
+    inv_dt = 1.0 / dt
+    gains = [(0.0, 0.0)] * n  # a gated-off sample gets zero gain
+    cov = (prior_scale, 0.0, prior_scale)
+    for k in range(n - 1, -1, -1):
+        if on[k]:
+            gains[k], cov = _joseph_update(cov, sqrt_k, inv_dt)
+            _check_pd(cov, k * dt)
+        if k > 0:
+            cov = _predict(cov, finv, qrev)
+
+    f00, f01, f10, f11 = finv
+    p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0
+    weights = []
+    for gq, gp in gains:
+        weights.append((p00 * gq + p01 * gp, p10 * gq + p11 * gp))
+        # (I - sqrt_k g e0ᵀ) finv = [[a f00, a f01], [b f00 + f10, b f01 + f11]]
+        a = 1.0 - sqrt_k * gq
+        b = -sqrt_k * gp
+        s00, s01, s10, s11 = a * f00, a * f01, b * f00 + f10, b * f01 + f11
+        p00, p01, p10, p11 = (
+            p00 * s00 + p01 * s10, p00 * s01 + p01 * s11,
+            p10 * s00 + p11 * s10, p10 * s01 + p11 * s11,
+        )
+    weights = np.array(weights)
+    weights.flags.writeable = False
+    return weights, cov
 
 
 def riccati_steady_state(model: EstimationModel, steps_per_period: int = 200) -> np.ndarray:
@@ -291,20 +326,23 @@ def riccati_steady_state(model: EstimationModel, steps_per_period: int = 200) ->
     sqrt_k = math.sqrt(model.meas_rate)
     inv_dt = 1.0 / dt
     f, qd = transition(model, dt)
+    f, q = _flat(f), _sym(qd)
 
-    cov = np.eye(2)
+    cov = (1.0, 0.0, 1.0)
     previous = None
     for _ in range(100_000):
-        acc = np.zeros((2, 2))
+        acc_qq = acc_qp = acc_pp = 0.0
         for _ in range(steps_per_period):
-            _, _, cov = _joseph_update(cov, sqrt_k, inv_dt)
-            acc += cov
-            cov = f @ cov @ f.T + qd
-        avg = acc / steps_per_period
-        if not np.all(np.isfinite(avg)) or avg[0, 0] > 1e12:
+            _, cov = _joseph_update(cov, sqrt_k, inv_dt)
+            acc_qq += cov[0]
+            acc_qp += cov[1]
+            acc_pp += cov[2]
+            cov = _predict(cov, f, q)
+        avg = tuple(acc / steps_per_period for acc in (acc_qq, acc_qp, acc_pp))
+        if not all(map(math.isfinite, avg)) or avg[0] > 1e12:
             raise RuntimeError("steady-state covariance iteration diverged")
-        if previous is not None and np.max(np.abs(avg - previous)) < 1e-10:
-            return avg
+        if previous is not None and max(abs(a - b) for a, b in zip(avg, previous)) < 1e-10:
+            return _mat(avg)
         previous = avg
     raise RuntimeError(
         "steady-state covariance iteration did not converge; "

@@ -268,8 +268,8 @@ def simulate_trial(
     truth equals that trial's ensemble row bit for bit.  The readout
     record starts exactly at t_zero, so the records fed through
     :func:`levamp.estimation.estimate_trial_outcome` reproduce the
-    outcome's covariance bit for bit and its mean to rounding: the
-    per-sample filter and the batched kernel order their sums differently.
+    outcome's mean and covariance bit for bit: the replay reads the same
+    cached retrodiction weights and sums each record row in the same order.
     """
     plans, total = _plan_segments(schedule, params, dt_per_period)
     truths, records = _simulate_chunk(

@@ -40,6 +40,14 @@ def test_amplified_preset_writes_the_standard_bundle(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("preset", cli.PRESETS)
+def test_every_preset_records_its_command(preset, tmp_path):
+    out = tmp_path / preset
+    assert run_cli("run", preset, "--trials", "12", "--seed", "2", "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == f"run {preset}"
+
+
 def test_reruns_and_worker_counts_are_byte_identical(tmp_path):
     dirs = [tmp_path / name for name in ("a", "b", "c")]
     for path, workers in zip(dirs, ("2", "2", "1")):

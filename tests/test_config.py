@@ -227,27 +227,6 @@ CONFIGS = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(CONFIGS)
-def test_config_fuzz_raises_only_config_errors_and_accepts_only_buildable_runs(raw):
-    try:
-        cfg = config_from_dict(raw)
-    except ConfigError:
-        return
-    params = cfg.params
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # pulses past 1 us warn but stay valid
-        for r in cfg.r_grid + (R_MAX,):
-            for tau_ns in cfg.tau_grid_ns:
-                schedule = build_for_ratio(
-                    params, r, tau_ns / 1e9, cfg.readout_periods * params.period_s
-                )
-                assert validate(schedule) == []
-                for seg in schedule.segments:
-                    if seg.kind != "kick":
-                        model_for_segment(params, seg)
-
-
 # In-range values only: few fuzzed configs pass, and none with their own p_zp_kev_c.
 VALID_CONFIGS = st.fixed_dictionaries(
     {},
@@ -268,6 +247,27 @@ VALID_CONFIGS = st.fixed_dictionaries(
         "dt_per_period": st.integers(50, 1000),
     },
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(CONFIGS | VALID_CONFIGS)
+def test_config_fuzz_raises_only_config_errors_and_accepts_only_buildable_runs(raw):
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        return
+    params = cfg.params
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # pulses past 1 us warn but stay valid
+        for r in cfg.r_grid + (R_MAX,):
+            for tau_ns in cfg.tau_grid_ns:
+                schedule = build_for_ratio(
+                    params, r, tau_ns / 1e9, cfg.readout_periods * params.period_s
+                )
+                assert validate(schedule) == []
+                for seg in schedule.segments:
+                    if seg.kind != "kick":
+                        model_for_segment(params, seg)
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levamp.dynamics import (
     CovarianceError,
     DynamicsModel,
     _check_pd,
+    _joseph_update,
+    _predict,
     base_model,
     propagate,
     soft_model,
@@ -164,13 +168,56 @@ def test_propagate_rejects_bad_steps():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_pd_check_rejects_any_non_finite_entry(bad):
-    good = np.array([[2.0, 0.3], [0.3, 1.5]])
+    good = (2.0, 0.3, 1.5)  # (V_qq, V_qp, V_pp) of a symmetric 2x2
     _check_pd(good, 0.0)
-    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        v = good.copy()
-        v[i, j] = bad
+    for i in range(3):
+        v = list(good)
+        v[i] = bad
         with pytest.raises(CovarianceError, match="positive definiteness"):
             _check_pd(v, 0.0)
+
+
+VARIANCE = st.floats(1e-3, 1e3)
+CORRELATION = st.floats(-0.99, 0.99)
+
+
+def _pd(qq, pp, rho):
+    qp = rho * math.sqrt(qq * pp)
+    return np.array([[qq, qp], [qp, pp]])
+
+
+def _entries(v):
+    return float(v[0, 0]), float(v[0, 1]), float(v[1, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(VARIANCE, VARIANCE, CORRELATION, st.floats(1e-2, 1e3), st.floats(1e-2, 1e7))
+def test_scalar_joseph_update_matches_the_matrix_formula(qq, pp, rho, sqrt_k, inv_dt):
+    v = _pd(qq, pp, rho)
+    h = np.array([[sqrt_k, 0.0]])
+    gain = (v @ h.T / (h @ v @ h.T + inv_dt)).ravel()
+    imkh = np.eye(2) - np.outer(gain, h)
+    ref = imkh @ v @ imkh.T + inv_dt * np.outer(gain, gain)
+
+    (gq, gp), (vqq, vqp, vpp) = _joseph_update(_entries(v), sqrt_k, inv_dt)
+    assert np.max(np.abs(np.array([gq, gp]) - gain)) <= 1e-12 * np.max(np.abs(gain))
+    got = np.array([[vqq, vqp], [vqp, vpp]])
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(v)), np.max(np.abs(ref)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(VARIANCE, VARIANCE, CORRELATION, VARIANCE, VARIANCE, CORRELATION,
+       st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+def test_scalar_prediction_matches_the_matrix_formula(qq, pp, rho, q_qq, q_pp, q_rho, f):
+    v = _pd(qq, pp, rho)
+    q = _pd(q_qq, q_pp, q_rho)
+    f_mat = np.array(f).reshape(2, 2)
+    ref = f_mat @ v @ f_mat.T + q
+
+    vqq, vqp, vpp = _predict(_entries(v), tuple(f), _entries(q))
+    got = np.array([[vqq, vqp], [vqp, vpp]])
+    scale = np.max(np.abs(f_mat)) ** 2 * np.max(np.abs(v)) + np.max(np.abs(q))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
 
 
 def test_base_and_soft_model_rates():

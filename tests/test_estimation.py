@@ -1,13 +1,16 @@
 """Forward filtering, retrodiction, and the conditioned steady state."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from levamp._kernels import filter_backward
-from levamp.dynamics import base_model, propagate, transition
+from levamp.dynamics import CovarianceError, base_model, propagate, transition
 from levamp.estimation import (
+    PRIOR_SCALE,
     FilterState,
     _fold_schedule,
     estimate_trial_outcome,
@@ -21,6 +24,7 @@ from levamp.params import OscillatorParams
 from levamp.protocol import build_amplified, build_conventional
 from levamp.records import MeasurementRecord
 from levamp.state import GaussianState, thermal_state
+from reference_filter import backward_filter
 
 PARAMS = OscillatorParams()
 MODEL = readout_model(PARAMS)
@@ -270,19 +274,51 @@ def test_retrodict_rejects_short_records_and_late_targets():
         retrodict(flat_record(400), MODEL, 10.0 * PERIOD)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_retrodict_rejects_a_bad_prior_scale(bad):
+    with pytest.raises(ValueError, match="prior_scale"):
+        retrodict(flat_record(400), MODEL, 0.0, prior_scale=bad)
+
+
+def test_an_overflowing_prior_names_a_sample_time_inside_the_record():
+    """A finite prior so broad that the covariance overflows fails as a
+    CovarianceError at the time of a sample of the record, without warnings."""
+    n = 400
+    t0 = 3.0 * PERIOD
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CovarianceError, match="positive definiteness") as info:
+            retrodict(flat_record(n, t0=t0), MODEL, t0, prior_scale=1e300)
+    named = float(re.search(r"at t = (\S+) s", str(info.value)).group(1))
+    assert info.value.t == pytest.approx(named, rel=1e-6)
+    k = (info.value.t - t0) / DT
+    assert 0 <= round(k) < n and k == pytest.approx(round(k), abs=1e-6)
+
+
 def test_precomputed_schedule_reproduces_retrodiction():
-    """The record weights used by the batched harness must agree with the
-    reference smoother on any record."""
+    """The record weights used by the batched harness, and retrodict on
+    gated-on and NaN-gapped records at other priors, agree with the
+    per-sample reference filter."""
     n = 600
     rng = np.random.default_rng(99)
     y = 2.0 * rng.standard_normal(n)
     rec = MeasurementRecord(0.0, DT, y, np.ones(n, dtype=bool))
-    ref = retrodict(rec, MODEL, 0.0)
+    ref_mean, ref_cov = backward_filter(rec, MODEL, PRIOR_SCALE)
     weights, cov_target = retrodiction_schedule(MODEL, DT, n)
     assert weights.shape == (n, 2)
     fast = filter_backward(y[None, :], weights)[0]
-    assert np.max(np.abs(fast - ref.estimate)) < 1e-12
-    assert np.max(np.abs(cov_target - ref.cov)) < 1e-12
+    assert np.max(np.abs(fast - ref_mean)) < 1e-12
+    assert np.max(np.abs(cov_target - ref_cov)) < 1e-12
+
+    gapped = np.ones(n, dtype=bool)
+    gapped[150:260] = False
+    for gate in (np.ones(n, dtype=bool), gapped):
+        rec = MeasurementRecord(0.0, DT, np.where(gate, y, np.nan), gate)
+        for prior_scale in (1e4, PRIOR_SCALE, 1e8):
+            ref_mean, ref_cov = backward_filter(rec, MODEL, prior_scale)
+            out = retrodict(rec, MODEL, 0.0, prior_scale=prior_scale)
+            assert np.max(np.abs(out.estimate - ref_mean)) < 1e-12
+            assert np.max(np.abs(out.cov - ref_cov)) < 1e-12
 
 
 def test_writing_into_a_schedule_leaves_the_cache_intact():

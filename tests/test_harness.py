@@ -29,7 +29,7 @@ from levamp.harness import (
     write_sensitivity_csv,
 )
 from levamp.params import OscillatorParams
-from levamp.protocol import Segment, build_amplified, build_conventional
+from levamp.protocol import Segment, build_amplified, build_conventional, build_for_ratio
 from levamp.state import GaussianState, thermal_state
 
 PARAMS = OscillatorParams()
@@ -119,6 +119,20 @@ def test_single_trial_replay_matches_the_ensemble_row(schedule):
         truth, records = simulate_trial(schedule, PARAMS, 314, i)
         est = estimate_trial_outcome(records, MODEL, schedule)
         assert np.max(np.abs(est.estimate - ens.outcomes[i])) < 1e-12
+        assert np.array_equal(est.cov, ens.est_cov)
+        assert np.array_equal(truth, ens.truths[i])
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, R12], ids=["r1", "r2", "sqrt12"])
+def test_replayed_trials_equal_their_ensemble_rows_bit_for_bit(r):
+    """Replay and ensemble share one cached fold and one einsum row sum,
+    so the estimate and its covariance equal the ensemble's exactly."""
+    schedule = build_for_ratio(PARAMS, r, 300e-9)
+    ens = run_ensemble(schedule, PARAMS, 20, 2718, workers=1)
+    for i in (0, 9, 19):
+        truth, records = simulate_trial(schedule, PARAMS, 2718, i)
+        est = estimate_trial_outcome(records, MODEL, schedule)
+        assert np.array_equal(est.estimate, ens.outcomes[i])
         assert np.array_equal(est.cov, ens.est_cov)
         assert np.array_equal(truth, ens.truths[i])
 

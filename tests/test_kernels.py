@@ -8,9 +8,10 @@ import pytest
 from levamp._kernels import BLOCK, chol2x2, filter_backward, roll, roll_record
 from levamp.config import R_MAX
 from levamp.dynamics import base_model, soft_model, transition
-from levamp.estimation import readout_model, retrodict, retrodiction_schedule
+from levamp.estimation import PRIOR_SCALE, readout_model, retrodiction_schedule
 from levamp.params import OscillatorParams
 from levamp.records import MeasurementRecord
+from reference_filter import backward_filter
 
 RNG = np.random.default_rng(7321)
 
@@ -126,7 +127,7 @@ def test_filter_backward_matches_per_trial_recursion():
     est = filter_backward(y, weights)
     for i in (0, M - 1):
         record = MeasurementRecord(0.0, dt, y[i], np.ones(N, dtype=bool))
-        ref = retrodict(record, model, 0.0).estimate
+        ref, _ = backward_filter(record, model, PRIOR_SCALE)
         assert np.max(np.abs(est[i] - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
