@@ -7,12 +7,15 @@ from Omega to Omega/r the drift becomes [[0, Omega], [-Omega/r^2, 0]]
 rather than a rescaled rotation, which is what turns a momentum kick
 into an r-fold larger position displacement after half a soft period.
 
-Each model is constant over a call to :func:`propagate`.  The
-transition over any duration is the exact matrix exponential of the
-drift together with the exactly integrated process-noise covariance
-(a Van Loan block exponential, IEEE TAC 23, 395 (1978)), so the
-moments need no time step: one transition covers the whole duration
-to machine rounding.
+Each model is constant over a call to :func:`propagate`, so the
+transition over any duration has a closed form and the moments need no
+time step: one transition covers the whole duration to machine
+rounding.  Every simulated segment is undamped, and there the
+transition is an elliptic rotation at the local frequency whose
+process noise integrates in sines and cosines.  A cold-damped model
+(only hand-built ones reach it) takes the underdamped exponential and
+solves a 3x3 Lyapunov system for its noise.  The tests check both
+against a Van Loan block exponential (IEEE TAC 23, 395 (1978)).
 
 Conventions for the stochastic part:
 
@@ -32,7 +35,6 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .state import GaussianState
 
@@ -143,27 +145,95 @@ def soft_model(params, r: float) -> DynamicsModel:
     )
 
 
+# Taylor coefficients of (y - sin y) / y^3, used below y = 1, where the
+# difference loses a digit or more; eight terms leave 5e-17.
+_SIN_REMAINDER = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(8))
+
+
+def _x_minus_sin_cos(x: float, s: float, c: float) -> float:
+    """x - sin x cos x = (y - sin y) / 2 with y = 2x, for x >= 0."""
+    y = 2.0 * x
+    if y >= 1.0:
+        return x - s * c
+    y2 = y * y
+    acc = 0.0
+    for coef in reversed(_SIN_REMAINDER):
+        acc = acc * y2 + coef
+    return 0.5 * y * y2 * acc
+
+
+def _undamped(model: DynamicsModel, dt: float):
+    """Rotation at omega f and its noise integral, for gamma = 0."""
+    f, d = model.freq_ratio, model.diffusion_p
+    w = model.omega * f
+    x = w * dt
+    s, c = math.sin(x), math.cos(x)
+    k = d / (2.0 * w)
+    return (c, s / f, -f * s, c), (
+        k * _x_minus_sin_cos(x, s, c) / (f * f),
+        k * s * s / f,
+        k * (x + s * c),
+    )
+
+
+def _damped(model: DynamicsModel, dt: float):
+    """Underdamped exponential and the noise solving A Q + Q A^T = F D F^T - D."""
+    omega, f, gamma, d = model.omega, model.freq_ratio, model.gamma_fb, model.diffusion_p
+    w = omega * f
+    if gamma >= 2.0 * w:
+        raise ValueError(
+            f"gamma_fb = {gamma:.6e} rad/s is not underdamped: "
+            f"the closed form needs gamma_fb < 2 omega freq_ratio = {2.0 * w:.6e} rad/s"
+        )
+    nu = math.sqrt(w * w - 0.25 * gamma * gamma)
+    decay = math.exp(-0.5 * gamma * dt)
+    s, c = math.sin(nu * dt), math.cos(nu * dt)
+    sn = decay * s / nu  # e^{-gamma t/2} sin(nu t) / nu
+    f00 = decay * c + 0.5 * gamma * sn
+    f01 = omega * sn
+    f10 = -omega * f * f * sn
+    f11 = decay * c - 0.5 * gamma * sn
+    # F_pp - 1 as a sum of same-signed terms, so that F_pp^2 - 1 keeps
+    # its digits at short steps.
+    half = math.sin(0.5 * nu * dt)
+    f11_m1 = -2.0 * decay * half * half + math.expm1(-0.5 * gamma * dt) - 0.5 * gamma * sn
+    # With A = [[0, omega], [-omega f^2, -gamma]] and M = F D F^T - D the
+    # three equations of A Q + Q A^T = M solve one after another.
+    qp = d * f01 * f01 / (2.0 * omega)
+    pp = -(0.5 * d * f11_m1 * (f11 + 1.0) + omega * f * f * qp) / gamma
+    qq = (omega * pp - gamma * qp - d * f01 * f11) / (omega * f * f)
+    return (f00, f01, f10, f11), (qq, qp, pp)
+
+
 @lru_cache(maxsize=512)
 def _discretize_cached(model: DynamicsModel, dt: float):
-    a = model.drift_matrix()
-    d = model.diffusion_matrix()
-    block = np.zeros((4, 4))
-    block[:2, :2] = -a * dt
-    block[:2, 2:] = d * dt
-    block[2:, 2:] = a.T * dt
-    phi = expm(block)
-    f = phi[2:, 2:].T
-    qd = f @ phi[:2, 2:]
-    qd = 0.5 * (qd + qd.T)
-    return f, qd
+    # Checked here, on a cache miss only: a step that raises is never cached.
+    if not (dt >= 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be nonnegative and finite, got {dt!r}")
+    f, q = (_undamped if model.gamma_fb == 0.0 else _damped)(model, dt)
+    return np.array(f).reshape(2, 2), _mat(q)
 
 
 def transition(model: DynamicsModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact one-step transition matrix and process-noise covariance.
 
     Returns (F, Qd) with F = expm(A dt) and
-    Qd = int_0^dt expm(A s) D expm(A s)^T ds, both exact up to the
-    matrix-exponential rounding floor.
+    Qd = int_0^dt expm(A s) D expm(A s)^T ds, in closed form.  For an
+    undamped model, with x = omega f dt and d = ``diffusion_p``::
+
+        F  = [[cos x, sin x / f], [-f sin x, cos x]]
+        Qd = d / (2 omega f) [[(x - sin x cos x) / f^2, sin^2 x / f],
+                              [sin^2 x / f,             x + sin x cos x]]
+
+    For 0 < gamma < 2 omega f, with nu = sqrt((omega f)^2 - gamma^2 / 4),
+    F = e^{-gamma dt / 2} [cos(nu dt) I + sin(nu dt) / nu (A + gamma / 2 I)]
+    and Qd solves A Qd + Qd A^T = F D F^T - D.  ``dt = 0`` gives (I, 0).
+
+    Raises
+    ------
+    ValueError
+        If dt is negative or not finite, or the model is critically or
+        over damped (gamma >= 2 omega f).
     """
     f, qd = _discretize_cached(model, float(dt))
     return f.copy(), qd.copy()
@@ -261,11 +331,9 @@ def propagate(state: GaussianState, model: DynamicsModel, duration: float) -> Ga
     CovarianceError
         If the covariance stops being positive definite.
     """
-    if not (duration >= 0.0 and math.isfinite(duration)):
-        raise ValueError("duration must be nonnegative and finite")
     if duration == 0.0:
         return state
-    f, qd = transition(model, duration)
+    f, qd = transition(model, duration)  # checks the duration
     cov = _predict(_sym(state.cov), _flat(f), _sym(qd))
     _check_pd(cov, duration)
     return GaussianState(mean=f @ state.mean, cov=_mat(cov))
