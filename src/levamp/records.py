@@ -17,6 +17,7 @@ form (magic ``LKR1``) for large ensembles.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import struct
 from dataclasses import dataclass, field
@@ -83,71 +84,100 @@ class MeasurementRecord:
 
 
 def write_record_csv(record: MeasurementRecord, path) -> None:
-    """Write a record as CSV with mandatory header ``t_s, y, gate``."""
-    times = record.times
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for k in range(len(record)):
-            writer.writerow(
-                [
-                    format(times[k], ".17g"),
-                    format(record.samples[k], ".17g"),
-                    int(record.gate[k]),
-                ]
-            )
+    """Write a record as CSV with mandatory header ``t_s, y, gate``.
+
+    Times and samples are written with ``%.17g``, the gate as 0 or 1,
+    each row ended by ``\\r\\n`` as :mod:`csv` writes it.
+    """
+    rows = zip(record.times.tolist(), record.samples.tolist(), record.gate.tolist())
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(_CSV_HEADER) + "\r\n")
+        fh.write("".join(["%.17g,%.17g,%d\r\n" % row for row in rows]))
+
+
+def _row_ok(row: list[str]) -> bool:
+    """One row's check, used only to find the line of a fault."""
+    try:
+        t, y, g = row
+        t, y = float(t), float(y)
+    except ValueError:
+        return False
+    return g == "0" or (g == "1" and np.isfinite(y))
 
 
 def read_record_csv(path) -> MeasurementRecord:
     """Read a record written by :func:`write_record_csv`.
 
-    The sample spacing is recovered from the first two timestamps; a
-    single-sample record gets a placeholder spacing of 1 s.  A row that
-    is not three numbers with a gate of 0 or 1, or whose gated-on sample
-    is not finite, raises ``ValueError`` naming its line.  So does the
-    first row k whose t_s is off t0 + k dt by more than 1e-6 dt plus
-    (k + 2) ulp of the grid's largest time: rounding the timestamps
-    alone moves them that far.
+    The file must be UTF-8; an undecodable byte raises ``ValueError``
+    naming its byte offset.  The sample spacing is recovered from the
+    first two timestamps; a single-sample record gets a placeholder
+    spacing of 1 s.  A row that is not three numbers with a gate of 0
+    or 1, or whose gated-on sample is not finite, raises ``ValueError``
+    naming its line.  So does a non-finite first t_s (t0), a second t_s
+    that leaves dt not positive and finite, and the first row k whose
+    t_s is off t0 + k dt by more than 1e-6 dt plus (k + 2) ulp of the
+    grid's largest time: rounding the timestamps alone moves them that
+    far.
 
     CSV is for inspection; :func:`write_record_binary` (LKR1) is the
     exact replay form.  Far from t = 0 the rounded timestamps move the
     recovered dt: at t0 = 123.456 s and dt = 3 ns it is 1.1e-6 relative
     off.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _CSV_HEADER:
-            raise ValueError(f"expected header {_CSV_HEADER}, got {header}")
-        rows = [(reader.line_num, row) for row in reader if row]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"byte {data[exc.start]:#04x} at offset {exc.start} is not UTF-8"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header != _CSV_HEADER:
+        raise ValueError(f"expected header {_CSV_HEADER}, got {header}")
+    rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError("record CSV has no samples")
-    times, samples = np.empty((2, len(rows)))
-    gate = np.empty(len(rows), dtype=bool)
-    for k, (line, row) in enumerate(rows):
-        try:
-            t, y, g = row
-            times[k], samples[k], gate[k] = float(t), float(y), g == "1"
-            if g not in ("0", "1") or (gate[k] and not np.isfinite(samples[k])):
-                raise ValueError
-        except ValueError:
-            raise ValueError(
-                f"line {line}: expected t_s,y,gate numbers with gate 0 or 1 and a finite "
-                f"gated-on y, got {row}"
-            ) from None
-    dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
-    if 0.0 < dt < np.inf:
-        k = np.arange(len(times))
-        grid = times[0] + k * dt
-        slack = 1e-6 * dt + (k + 2) * np.spacing(max(abs(grid[0]), abs(grid[-1])))
-        off = np.flatnonzero(~(np.abs(times - grid) <= slack))
-        if off.size:
-            line, row = rows[off[0]]
-            raise ValueError(
-                f"line {line}: t_s is off the uniform grid t0 + k dt with t0 = "
-                f"{float(times[0])!r}, dt = {dt!r}, k = {off[0]}, got {row}"
-            )
-    return MeasurementRecord(t0=float(times[0]), dt=dt, samples=samples, gate=gate)
+    n = len(rows)
+    lines, fields = zip(*rows)
+    try:
+        if set(map(len, fields)) != {3}:
+            raise ValueError
+        t, y, g = zip(*fields)
+        times = np.fromiter(map(float, t), float, n)
+        samples = np.fromiter(map(float, y), float, n)
+        if not set(g) <= {"0", "1"}:
+            raise ValueError
+        gate = np.fromiter(map("1".__eq__, g), bool, n)
+        if not np.isfinite(samples[gate]).all():
+            raise ValueError
+    except ValueError:
+        k = next(k for k, row in enumerate(fields) if not _row_ok(row))
+        raise ValueError(
+            f"line {lines[k]}: expected t_s,y,gate numbers with gate 0 or 1 and a finite "
+            f"gated-on y, got {fields[k]}"
+        ) from None
+    t0 = float(times[0])
+    if not np.isfinite(t0):
+        raise ValueError(f"line {lines[0]}: t0 {t0!r} must be finite, got {fields[0]}")
+    dt = float(times[1] - times[0]) if n > 1 else 1.0
+    if not (0.0 < dt < np.inf):
+        raise ValueError(
+            f"line {lines[1]}: dt {dt!r} from the first two t_s must be positive and finite, "
+            f"got {fields[1]}"
+        )
+    k = np.arange(n)
+    grid = t0 + k * dt
+    slack = 1e-6 * dt + (k + 2) * np.spacing(max(abs(grid[0]), abs(grid[-1])))
+    off = np.flatnonzero(~(np.abs(times - grid) <= slack))
+    if off.size:
+        j = int(off[0])
+        raise ValueError(
+            f"line {lines[j]}: t_s is off the uniform grid t0 + k dt with t0 = "
+            f"{t0!r}, dt = {dt!r}, k = {j}, got {fields[j]}"
+        )
+    return MeasurementRecord(t0=t0, dt=dt, samples=samples, gate=gate)
 
 
 def write_record_binary(record: MeasurementRecord, path) -> None:

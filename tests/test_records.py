@@ -1,12 +1,18 @@
 """Measurement record container and its CSV / binary round trips."""
 
+import math
+import re
 import struct
 
 import numpy as np
 import pytest
+import reference_records
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from levamp.harness import simulate_trial
+from levamp.params import OscillatorParams
+from levamp.protocol import build_for_ratio
 from levamp.records import (
     MeasurementRecord,
     read_record_binary,
@@ -111,9 +117,14 @@ def test_csv_rejects_empty_body(tmp_path):
         ("0,1.0,1\n1e-7,2.0,1\n9e-7,3.0,1\n", r"line 4: t_s is off .* k = 2, got \['9e-7'"),
         ("0,1.0,1\n1e-7,2.0,1\n\n2.00001e-7,3.0,1\n", "line 5: t_s is off"),
         ("0,1.0,1\n1e-7,2.0,1\nnan,3.0,1\n", "line 4: t_s is off"),
+        ("0,1.0,1\n0,2.0,1\n", r"line 3: dt 0\.0 from the first two t_s must be positive"),
+        ("1e-7,1.0,1\n0,2.0,1\n", r"line 3: dt -1e-07 .* got \['0', '2.0', '1'\]"),
+        ("nan,1.0,1\n\n1e-7,2.0,1\n", r"line 2: t0 nan must be finite, got \['nan'"),
+        ("0,1.0,1\ninf,2.0,1\n", "line 3: dt inf from the first two t_s must be positive and"),
     ],
     ids=["two-fields", "four-fields", "gate-7", "gate-word", "bad-number", "gated-on-inf",
-         "jump", "drift-1e-5-dt", "nan-time"],
+         "jump", "drift-1e-5-dt", "nan-time", "repeated-t0", "decreasing-t1", "nan-t0",
+         "inf-t1"],
 )
 def test_csv_faults_name_the_line(tmp_path, body, match):
     path = tmp_path / "bad.csv"
@@ -234,3 +245,157 @@ def test_record_validation():
     samples = np.array([0.0, np.nan, 0.0, 0.0])
     with pytest.raises(ValueError):
         MeasurementRecord(0.0, 1e-8, samples, np.ones(4, dtype=bool))
+
+
+def test_csv_undecodable_byte_is_a_value_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"t_s,y,gate\r\n0,1.0,1\r\n1e-7,\xff,1\r\n")
+    with pytest.raises(ValueError, match="byte 0xff at offset 26 is not UTF-8"):
+        read_record_csv(path)
+
+
+# Values the row-at-a-time writer must agree on: signed zeros, subnormals,
+# the ends of the float range, and t0 far from zero.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+@st.composite
+def csv_records(draw, min_size=0, max_size=12):
+    gate = draw(st.lists(st.booleans(), min_size=min_size, max_size=max_size))
+    samples = [
+        draw(
+            st.floats(allow_nan=not on, allow_infinity=not on)
+            | st.sampled_from(_EDGES + ([] if on else [math.nan, math.inf, -math.inf]))
+        )
+        for on in gate
+    ]
+    return MeasurementRecord(
+        t0=draw(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([123.456, -3.6e-6, 1e9, -0.0])
+        ),
+        dt=draw(
+            st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
+            | st.sampled_from([3e-9, 9.615384615384615e-8])
+        ),
+        samples=np.array(samples, dtype=float),
+        gate=np.array(gate, dtype=bool),
+    )
+
+
+def _oracle_bytes(tmp_path, rec):
+    path = tmp_path / "oracle.csv"
+    reference_records.write_record_csv(rec, path)
+    return path.read_bytes()
+
+
+def _written_bytes(tmp_path, rec):
+    path = tmp_path / "rec.csv"
+    write_record_csv(rec, path)
+    return path.read_bytes()
+
+
+# The oracle leaves these two faults to MeasurementRecord; the column
+# reader names their line instead.
+_BARE_TIMESTAMP_FAULTS = ("t0 must be finite", "dt must be positive and finite")
+_LINE_TIMESTAMP_FAULT = re.compile(
+    r"line \d+: (t0 \S+ must be finite|dt \S+ from the first two t_s must be positive "
+    r"and finite), got \["
+)
+
+
+def _outcome(read, path):
+    try:
+        rec = read(path)
+    except Exception as exc:  # the oracle's exception type is part of the outcome
+        return type(exc), str(exc)
+    bits = struct.pack("<dd", rec.t0, rec.dt) + rec.samples.tobytes() + rec.gate.tobytes()
+    return None, bits
+
+
+def _assert_reads_like_the_oracle(path):
+    want = _outcome(reference_records.read_record_csv, path)
+    got = _outcome(read_record_csv, path)
+    if want[1] in _BARE_TIMESTAMP_FAULTS:
+        assert got[0] is ValueError and _LINE_TIMESTAMP_FAULT.match(got[1]), (want, got)
+    else:
+        assert got == want
+
+
+_ORACLE = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@_ORACLE
+@given(rec=csv_records())
+def test_csv_writer_bytes_equal_the_row_at_a_time_oracle(tmp_path, rec):
+    assert _written_bytes(tmp_path, rec) == _oracle_bytes(tmp_path, rec)
+    _assert_reads_like_the_oracle(tmp_path / "rec.csv")
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, math.sqrt(12.0)])
+def test_simulated_records_write_the_oracle_bytes_and_read_back_bit_for_bit(tmp_path, r):
+    params = OscillatorParams()
+    _, recs = simulate_trial(build_for_ratio(params, r, 1000e-9), params, 4, 3)
+    for rec in recs:
+        assert _written_bytes(tmp_path, rec) == _oracle_bytes(tmp_path, rec)
+        back = read_record_csv(tmp_path / "rec.csv")
+        assert np.array_equal(back.samples, rec.samples)
+        assert np.array_equal(back.gate, rec.gate)
+        _assert_reads_like_the_oracle(tmp_path / "rec.csv")
+
+
+def test_gated_off_record_far_from_zero_writes_the_oracle_bytes(tmp_path):
+    samples = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.5])
+    gate = np.array([True, False, False, False, True, True])
+    rec = MeasurementRecord(123.456, 3e-9, samples, gate)
+    data = _written_bytes(tmp_path, rec)
+    assert data == _oracle_bytes(tmp_path, rec)
+    assert data.startswith(b"t_s,y,gate\r\n123.456,-0,1\r\n123.456000003,nan,0\r\n")
+    _assert_reads_like_the_oracle(tmp_path / "rec.csv")
+
+
+_TOKENS = ["0", "1", "7", "1.0", "true", "", "nan", "inf", "-inf", "abc", "2.5e-7", "-0"]
+
+
+@st.composite
+def corrupted_csv_lines(draw):
+    """The lines of a written record CSV after one to three random faults."""
+    rec = draw(csv_records(min_size=1, max_size=8))
+    lines = [
+        "t_s,y,gate",
+        *(
+            "%r,%r,%d" % row
+            for row in zip(rec.times.tolist(), rec.samples.tolist(), rec.gate.tolist())
+        ),
+    ]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split(",")
+        kind = draw(st.sampled_from(["fields", "field", "shift", "blank", "drop"]))
+        if kind == "fields":
+            lines[i] = ",".join(draw(st.lists(st.sampled_from(_TOKENS), max_size=5)))
+        elif kind == "field":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_TOKENS))
+            lines[i] = ",".join(fields)
+        elif kind == "shift" and i > 0:
+            delta = draw(st.floats(-3.0, 3.0) | st.sampled_from([1e-5, -1e-5, 0.5]))
+            fields[0] = repr(rec.t0 + (i - 1 + delta) * rec.dt)
+            lines[i] = ",".join(fields)
+        elif kind == "blank":
+            lines.insert(i, "")
+        elif kind == "drop" and len(lines) > 1:
+            del lines[i]
+    return lines
+
+
+@_ORACLE
+@given(lines=corrupted_csv_lines(), newline=st.sampled_from(["\r\n", "\n"]))
+def test_csv_reader_faults_match_the_row_at_a_time_oracle(tmp_path, lines, newline):
+    path = tmp_path / "bad.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    _assert_reads_like_the_oracle(path)
