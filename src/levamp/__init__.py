@@ -14,7 +14,7 @@ Layers, bottom up:
     state       Gaussian states, impulses, symplectic quarter maps
     dynamics    continuous models and their exact discretizations
     protocol    segment schedules for conventional and amplified runs
-    estimation  forward Kalman filtering and backward retrodiction
+    estimation  backward retrodiction and the conditioned steady state
     harness     Monte Carlo ensembles, fits, noise budget, CSV output
     config      JSON run configuration
     cli         command-line presets and sweeps
@@ -32,9 +32,7 @@ from .dynamics import (
 )
 from .estimation import (
     FilterState,
-    FilterTrajectory,
     estimate_trial_outcome,
-    kalman_forward,
     readout_model,
     retrodict,
     riccati_steady_state,
@@ -83,7 +81,6 @@ from .records import (
 from .state import (
     GaussianState,
     apply_impulse,
-    apply_linear,
     occupation,
     quarter_period_map,
     thermal_state,
@@ -98,7 +95,6 @@ __all__ = [
     "Ensemble",
     "EnsembleStats",
     "FilterState",
-    "FilterTrajectory",
     "GaussianState",
     "MeasurementRecord",
     "NoiseBudget",
@@ -109,7 +105,6 @@ __all__ = [
     "SensitivityCurve",
     "SensitivityPoint",
     "apply_impulse",
-    "apply_linear",
     "base_model",
     "build_amplified",
     "build_conventional",
@@ -120,7 +115,6 @@ __all__ = [
     "fit_displacement_vs_tau",
     "fit_k1",
     "impulse_from_pulse",
-    "kalman_forward",
     "kev_c_to_momentum",
     "load_config",
     "momentum_to_kev_c",

@@ -69,8 +69,8 @@ def _scan(x, f, l, w, record=None):
     noise_scale), and then y[:, k] = sqrt_k Q_k + noise_scale v[:, k] is
     written with Q_k the position before step k.  Every operation is
     elementwise or a cumsum along a row, so a row's bits never depend on
-    the batch.  Needs F^-j finite for j <= BLOCK, as it is for any step
-    that is not damped by orders of magnitude.  Returns the final states.
+    the batch.  Needs F^-j finite for j <= BLOCK, as it is for every
+    model's F, whose determinant is 1.  Returns the final states.
     """
     m, n = w.shape[0], w.shape[1]
     if n == 0:

@@ -10,12 +10,10 @@ into an r-fold larger position displacement after half a soft period.
 Each model is constant over a call to :func:`propagate`, so the
 transition over any duration has a closed form and the moments need no
 time step: one transition covers the whole duration to machine
-rounding.  Every simulated segment is undamped, and there the
-transition is an elliptic rotation at the local frequency whose
-process noise integrates in sines and cosines.  A cold-damped model
-(only hand-built ones reach it) takes the underdamped exponential and
-solves a 3x3 Lyapunov system for its noise.  The tests check both
-against a Van Loan block exponential (IEEE TAC 23, 395 (1978)).
+rounding.  Every model is undamped, so the transition is an elliptic
+rotation at the local frequency whose process noise integrates in
+sines and cosines.  The tests check it against a Van Loan block
+exponential (IEEE TAC 23, 395 (1978)).
 
 Conventions for the stochastic part:
 
@@ -67,8 +65,6 @@ class DynamicsModel:
     freq_ratio : float
         Local frequency over base frequency; 1 in the stiff trap and
         1/r during a soft phase. Must lie in (0, 1].
-    gamma_fb : float
-        Angular cold-damping rate in rad/s (0 with feedback off).
     diffusion_p : float
         Momentum diffusion in zp units^2 / s.
     meas_rate : float
@@ -77,7 +73,6 @@ class DynamicsModel:
 
     omega: float
     freq_ratio: float = 1.0
-    gamma_fb: float = 0.0
     diffusion_p: float = 0.0
     meas_rate: float = 0.0
 
@@ -86,7 +81,7 @@ class DynamicsModel:
             raise ValueError("omega must be positive and finite")
         if not (0.0 < self.freq_ratio <= 1.0):
             raise ValueError("freq_ratio must be in (0, 1]")
-        for name in ("gamma_fb", "diffusion_p", "meas_rate"):
+        for name in ("diffusion_p", "meas_rate"):
             value = getattr(self, name)
             if not (value >= 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be nonnegative and finite")
@@ -105,7 +100,7 @@ class DynamicsModel:
         return np.array(
             [
                 [0.0, self.omega],
-                [-self.omega * self.freq_ratio**2, -self.gamma_fb],
+                [-self.omega * self.freq_ratio**2, 0.0],
             ]
         )
 
@@ -117,12 +112,11 @@ class DynamicsModel:
         return replace(self, diffusion_p=0.0, meas_rate=0.0)
 
 
-def base_model(params, *, measurement_on: bool = True, feedback_on: bool = False) -> DynamicsModel:
-    """Model for the stiff trap, optionally with detection and feedback."""
+def base_model(params, *, measurement_on: bool = True) -> DynamicsModel:
+    """Model for the stiff trap, optionally with detection."""
     return DynamicsModel(
         omega=params.omega,
         freq_ratio=1.0,
-        gamma_fb=params.gamma_fb if feedback_on else 0.0,
         diffusion_p=4.0 * params.gamma_qb,
         meas_rate=4.0 * params.eta * params.gamma_qb if measurement_on else 0.0,
     )
@@ -139,7 +133,6 @@ def soft_model(params, r: float) -> DynamicsModel:
     return DynamicsModel(
         omega=params.omega,
         freq_ratio=1.0 / r,
-        gamma_fb=0.0,
         diffusion_p=4.0 * params.gamma_qb / r**2,
         meas_rate=0.0,
     )
@@ -163,7 +156,7 @@ def _x_minus_sin_cos(x: float, s: float, c: float) -> float:
 
 
 def _undamped(model: DynamicsModel, dt: float):
-    """Rotation at omega f and its noise integral, for gamma = 0."""
+    """Rotation at omega f and its noise integral."""
     f, d = model.freq_ratio, model.diffusion_p
     w = model.omega * f
     x = w * dt
@@ -176,41 +169,12 @@ def _undamped(model: DynamicsModel, dt: float):
     )
 
 
-def _damped(model: DynamicsModel, dt: float):
-    """Underdamped exponential and the noise solving A Q + Q A^T = F D F^T - D."""
-    omega, f, gamma, d = model.omega, model.freq_ratio, model.gamma_fb, model.diffusion_p
-    w = omega * f
-    if gamma >= 2.0 * w:
-        raise ValueError(
-            f"gamma_fb = {gamma:.6e} rad/s is not underdamped: "
-            f"the closed form needs gamma_fb < 2 omega freq_ratio = {2.0 * w:.6e} rad/s"
-        )
-    nu = math.sqrt(w * w - 0.25 * gamma * gamma)
-    decay = math.exp(-0.5 * gamma * dt)
-    s, c = math.sin(nu * dt), math.cos(nu * dt)
-    sn = decay * s / nu  # e^{-gamma t/2} sin(nu t) / nu
-    f00 = decay * c + 0.5 * gamma * sn
-    f01 = omega * sn
-    f10 = -omega * f * f * sn
-    f11 = decay * c - 0.5 * gamma * sn
-    # F_pp - 1 as a sum of same-signed terms, so that F_pp^2 - 1 keeps
-    # its digits at short steps.
-    half = math.sin(0.5 * nu * dt)
-    f11_m1 = -2.0 * decay * half * half + math.expm1(-0.5 * gamma * dt) - 0.5 * gamma * sn
-    # With A = [[0, omega], [-omega f^2, -gamma]] and M = F D F^T - D the
-    # three equations of A Q + Q A^T = M solve one after another.
-    qp = d * f01 * f01 / (2.0 * omega)
-    pp = -(0.5 * d * f11_m1 * (f11 + 1.0) + omega * f * f * qp) / gamma
-    qq = (omega * pp - gamma * qp - d * f01 * f11) / (omega * f * f)
-    return (f00, f01, f10, f11), (qq, qp, pp)
-
-
 @lru_cache(maxsize=512)
 def _discretize_cached(model: DynamicsModel, dt: float):
     # Checked here, on a cache miss only: a step that raises is never cached.
     if not (dt >= 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be nonnegative and finite, got {dt!r}")
-    f, q = (_undamped if model.gamma_fb == 0.0 else _damped)(model, dt)
+    f, q = _undamped(model, dt)
     return np.array(f).reshape(2, 2), _mat(q)
 
 
@@ -218,22 +182,19 @@ def transition(model: DynamicsModel, dt: float) -> tuple[np.ndarray, np.ndarray]
     """Exact one-step transition matrix and process-noise covariance.
 
     Returns (F, Qd) with F = expm(A dt) and
-    Qd = int_0^dt expm(A s) D expm(A s)^T ds, in closed form.  For an
-    undamped model, with x = omega f dt and d = ``diffusion_p``::
+    Qd = int_0^dt expm(A s) D expm(A s)^T ds, in closed form.  With
+    x = omega f dt and d = ``diffusion_p``::
 
         F  = [[cos x, sin x / f], [-f sin x, cos x]]
         Qd = d / (2 omega f) [[(x - sin x cos x) / f^2, sin^2 x / f],
                               [sin^2 x / f,             x + sin x cos x]]
 
-    For 0 < gamma < 2 omega f, with nu = sqrt((omega f)^2 - gamma^2 / 4),
-    F = e^{-gamma dt / 2} [cos(nu dt) I + sin(nu dt) / nu (A + gamma / 2 I)]
-    and Qd solves A Qd + Qd A^T = F D F^T - D.  ``dt = 0`` gives (I, 0).
+    ``dt = 0`` gives (I, 0).
 
     Raises
     ------
     ValueError
-        If dt is negative or not finite, or the model is critically or
-        over damped (gamma >= 2 omega f).
+        If dt is negative or not finite.
     """
     f, qd = _discretize_cached(model, float(dt))
     return f.copy(), qd.copy()

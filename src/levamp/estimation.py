@@ -1,11 +1,9 @@
-"""State estimation from position records: filtering and retrodiction.
+"""State estimation from position records: retrodiction and the steady state.
 
 The estimator shares its discrete-time transition matrices with the
 simulator, so there is no model mismatch between data generation and
-inference.  Three entry points matter:
+inference.  Two entry points matter:
 
-* :func:`kalman_forward` runs the standard forward filter and is used
-  for steady-state diagnostics and filtered traces.
 * :func:`retrodict` runs a backward filter under the time-reversed
   dynamics (A -> -A, same diffusion, same readout) from an effectively
   flat prior, the backward half of the two-filter smoother (Fraser &
@@ -14,16 +12,16 @@ inference.  Three entry points matter:
   what a kick experiment needs: the state right after the protocol,
   inferred from the readout that follows it.
 * :func:`riccati_steady_state` gives the conditional-covariance floor
-  the forward filter settles to; with detection efficiency eta its
+  a forward filter settles to; with detection efficiency eta its
   position entry approaches 1/sqrt(eta) in zp units.
 
-The covariance of every one of these filters follows a Riccati
-recursion that never reads the record.  So :func:`retrodict` is a cached
-fold: per (backward step, gate, prior scale) the recursion runs once
-and yields weights with mean = record · weights, which
-:func:`retrodiction_schedule` also hands to the batched ensemble.  The
-recursion itself steps the three Python floats of the symmetric 2x2
-covariance through ``dynamics._joseph_update`` and ``dynamics._predict``.
+The covariance of both follows a Riccati recursion that never reads
+the record.  So :func:`retrodict` is a cached fold: per (backward step,
+gate, prior scale) the recursion runs once and yields weights with
+mean = record · weights, which :func:`retrodiction_schedule` also hands
+to the batched ensemble.  The recursion itself steps the three Python
+floats of the symmetric 2x2 covariance through
+``dynamics._joseph_update`` and ``dynamics._predict``.
 
 Measurement convention, shared with the simulator: a record sample
 y_k = sqrt(meas_rate) Q(t_k) + xi_k / sqrt(dt) refers to the state at
@@ -33,10 +31,9 @@ at a sample time, prediction bridges between sample times.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -65,18 +62,13 @@ from .state import _as_cov, _as_mean
 # a few measurement time constants.
 PRIOR_SCALE = 1e6
 
-# EstimationModel mirrors DynamicsModel entry for entry (drift,
-# diffusion, readout gain), so a single type serves both roles.
-EstimationModel = DynamicsModel
 
-
-def readout_model(params) -> EstimationModel:
+def readout_model(params) -> DynamicsModel:
     """Estimation model for the readout: stiff trap, detection on.
 
-    meas_rate = 4 eta gamma_qb, momentum diffusion 4 gamma_qb, no
-    feedback.
+    meas_rate = 4 eta gamma_qb, momentum diffusion 4 gamma_qb.
     """
-    return base_model(params, measurement_on=True, feedback_on=False)
+    return base_model(params, measurement_on=True)
 
 
 @dataclass(frozen=True)
@@ -86,106 +78,10 @@ class FilterState:
     estimate: np.ndarray
     cov: np.ndarray
     t: float
-    direction: str = "forward"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "estimate", _as_mean(self.estimate))
         object.__setattr__(self, "cov", _as_cov(self.cov))
-        if self.direction not in ("forward", "backward"):
-            raise ValueError("direction must be 'forward' or 'backward'")
-
-
-@dataclass(frozen=True)
-class FilterTrajectory:
-    """Filter output at every sample time (post-update values)."""
-
-    t: np.ndarray = field(repr=False)
-    means: np.ndarray = field(repr=False)
-    covs: np.ndarray = field(repr=False)
-    direction: str = "forward"
-
-    def __len__(self) -> int:
-        return self.t.size
-
-    @property
-    def final(self) -> FilterState:
-        return FilterState(
-            estimate=self.means[-1],
-            cov=self.covs[-1],
-            t=float(self.t[-1]),
-            direction=self.direction,
-        )
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_s", "q_hat", "p_hat", "v_qq", "v_qp", "v_pp"])
-            for k in range(len(self)):
-                writer.writerow(
-                    format(x, ".9g")
-                    for x in (
-                        self.t[k],
-                        self.means[k, 0],
-                        self.means[k, 1],
-                        self.covs[k, 0, 0],
-                        self.covs[k, 0, 1],
-                        self.covs[k, 1, 1],
-                    )
-                )
-
-
-def kalman_forward(
-    record: MeasurementRecord, model: EstimationModel, init: FilterState
-) -> FilterTrajectory:
-    """Run the forward filter across a record.
-
-    The trajectory holds the post-update estimate at each sample time.
-    The final covariance approaches the steady Riccati solution
-    whatever the (positive definite) initial covariance.
-    """
-    if not record.all_gated_on():
-        raise ValueError("forward filtering requires a fully gated-on record")
-    if len(record) == 0:
-        raise ValueError("empty record")
-    _check_dt(model, record.dt)
-    if init.t > record.t0 + 1e-12 * record.dt:
-        raise ValueError("init time must not be later than the record start")
-
-    sqrt_k = math.sqrt(model.meas_rate)
-    inv_dt = 1.0 / record.dt
-    f, qd = transition(model, record.dt)
-    f, q = _flat(f), _sym(qd)
-
-    mean = init.estimate
-    cov = _sym(init.cov)
-    gap = record.t0 - init.t
-    if gap > 1e-12 * record.dt:
-        f_gap, qd_gap = transition(model, gap)
-        mean = f_gap @ mean
-        cov = _predict(cov, _flat(f_gap), _sym(qd_gap))
-
-    f00, f01, f10, f11 = f
-    mq, mp = mean.tolist()
-    times = record.times
-    means = []
-    covs = []
-    for k, y in enumerate(record.samples.tolist()):
-        if k > 0:
-            mq, mp = f00 * mq + f01 * mp, f10 * mq + f11 * mp
-            cov = _predict(cov, f, q)
-        if model.meas_rate > 0.0:
-            (gq, gp), cov = _joseph_update(cov, sqrt_k, inv_dt)
-            innovation = y - sqrt_k * mq
-            mq, mp = mq + gq * innovation, mp + gp * innovation
-        _check_pd(cov, times[k])
-        means.append((mq, mp))
-        covs.append(cov)
-    return FilterTrajectory(
-        t=times,
-        means=np.array(means),
-        covs=np.array(covs)[:, [[0, 1], [1, 2]]],
-        direction="forward",
-    )
 
 
 def _backward_ops(model: DynamicsModel, dt: float):
@@ -197,7 +93,7 @@ def _backward_ops(model: DynamicsModel, dt: float):
 
 def retrodict(
     record: MeasurementRecord,
-    model: EstimationModel,
+    model: DynamicsModel,
     target_time: float,
     prior_scale: float = PRIOR_SCALE,
 ) -> FilterState:
@@ -242,13 +138,11 @@ def retrodict(
         mean = np.reshape(finv_gap, (2, 2)) @ mean
         cov = _predict(cov, finv_gap, qrev_gap)
 
-    return FilterState(
-        estimate=mean, cov=_mat(cov), t=float(target_time), direction="backward"
-    )
+    return FilterState(estimate=mean, cov=_mat(cov), t=float(target_time))
 
 
 def retrodiction_schedule(
-    model: EstimationModel, dt: float, n: int
+    model: DynamicsModel, dt: float, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(weights, cov_target) of :func:`retrodict` on any fully gated-on record.
 
@@ -313,7 +207,7 @@ def _fold_schedule(finv, qrev, sqrt_k, dt, gate, prior_scale):
     return weights, cov
 
 
-def riccati_steady_state(model: EstimationModel, steps_per_period: int = 200) -> np.ndarray:
+def riccati_steady_state(model: DynamicsModel, steps_per_period: int = 200) -> np.ndarray:
     """Period-averaged steady conditional covariance of the filter.
 
     Iterates the discrete measure-and-predict recursion from V = I
@@ -351,7 +245,7 @@ def riccati_steady_state(model: EstimationModel, steps_per_period: int = 200) ->
 
 
 def estimate_trial_outcome(
-    records, model: EstimationModel, schedule
+    records, model: DynamicsModel, schedule
 ) -> FilterState:
     """Best (Q, P) estimate right after the protocol, with covariance.
 

@@ -49,15 +49,16 @@ def model_for_segment(params: OscillatorParams, segment: Segment) -> DynamicsMod
 
     Recoil diffusion scales with optical power, i.e. with the square
     of the local frequency ratio; detection contributes only where the
-    segment gates it on.
+    segment gates it on.  The feedback hold has no model: it prepares
+    the thermal state that a trial draws.
     """
+    if segment.kind == "feedback_hold":
+        raise ValueError("feedback_hold segment has no dynamics model")
     if segment.kind == "soft":
         return soft_model(params, 1.0 / segment.freq_ratio)
     if segment.freq_ratio != 1.0:
         raise ValueError(f"{segment.kind} segment must run at the base frequency")
-    return base_model(
-        params, measurement_on=segment.measurement_on, feedback_on=segment.feedback_on
-    )
+    return base_model(params, measurement_on=segment.measurement_on)
 
 
 @dataclass(frozen=True)
@@ -287,14 +288,12 @@ def run_schedule_noiseless(
     schedule: ProtocolSchedule,
     params: OscillatorParams,
     state: GaussianState,
-    *,
-    stop_at_zero: bool = True,
 ) -> GaussianState:
     """Deterministic protocol map with diffusion and detection off.
 
     Skips the feedback_hold segment (the map describes what the
-    protocol does to a prepared state) and by default stops at t_zero,
-    before the readout rotation.  The amplified map sends mean
+    protocol does to a prepared state) and stops at t_zero, before the
+    readout rotation.  The amplified map sends mean
     (Q0, P0) with kick dP to (-Q0 + r dP, -P0) and returns the
     covariance to its initial value.
     """
@@ -302,7 +301,7 @@ def run_schedule_noiseless(
     for seg in schedule.segments:
         if seg.kind == "feedback_hold":
             continue
-        if seg.kind == "readout" and stop_at_zero:
+        if seg.kind == "readout":
             break
         if seg.kind == "kick":
             state = apply_impulse(state, seg.kick_dp)

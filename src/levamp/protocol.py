@@ -104,11 +104,6 @@ class ProtocolSchedule:
         return next((s.duration_s for s in self.segments if s.kind == "readout"), 0.0)
 
     @property
-    def t_start(self) -> float:
-        """Start time of the first segment."""
-        return self.boundaries()[0][0] if self.segments else self.t_zero
-
-    @property
     def t_kick(self) -> float:
         """Absolute time of the first kick segment; NaN without one."""
         return next((t0 for t0, _, s in self.boundaries() if s.kind == "kick"), math.nan)

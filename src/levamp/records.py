@@ -45,6 +45,9 @@ class MeasurementRecord:
         Record values ``y_k``. Gated-off entries hold NaN.
     gate : ndarray of bool
         True where detection was on for the sample.
+
+    The last sample time t0 + (n - 1) dt must be finite, so that every
+    timestamp is.
     """
 
     t0: float
@@ -61,6 +64,9 @@ class MeasurementRecord:
             raise ValueError("dt must be positive and finite")
         if not np.isfinite(self.t0):
             raise ValueError("t0 must be finite")
+        t_last = float(self.t0) + float(self.dt) * max(samples.size - 1, 0)
+        if not np.isfinite(t_last):
+            raise ValueError(f"last sample time t0 + (n - 1) dt = {t_last} s must be finite")
         if samples.size and not np.all(np.isfinite(samples[gate])):
             raise ValueError("gated-on samples must be finite")
         object.__setattr__(self, "samples", samples)
@@ -198,7 +204,8 @@ def read_record_binary(path) -> MeasurementRecord:
     """Read a record written by :func:`write_record_binary`.
 
     A file of n samples must hold exactly 28 + 9 n bytes, t0 (offset
-    12) must be finite, dt (offset 20) positive and finite, every gate
+    12) must be finite, dt (offset 20) positive and finite with
+    t0 + (n - 1) dt finite, every gate
     byte 0 or 1, and every gated-on sample k (offset 28 + 8 k) finite.
     Any other file raises ``ValueError`` naming the byte offset of the
     fault.
@@ -227,6 +234,10 @@ def read_record_binary(path) -> MeasurementRecord:
         raise ValueError(f"t0 {t0!r} at offset 12 must be finite")
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ValueError(f"dt {dt!r} at offset 20 must be positive and finite")
+    if not np.isfinite(t0 + dt * max(n - 1, 0)):
+        raise ValueError(
+            f"dt {dt!r} at offset 20 puts the last sample time t0 + (n - 1) dt past the float range"
+        )
     bad = np.flatnonzero(flags > 1)
     if bad.size:
         k = int(bad[0])

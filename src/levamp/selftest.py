@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DynamicsModel, propagate, soft_model
+from .dynamics import base_model, propagate, soft_model
 from .estimation import readout_model, retrodict, riccati_steady_state
 from .harness import (
     DEFAULT_WORKERS,
@@ -116,10 +116,7 @@ def _criterion_2(params: OscillatorParams) -> tuple[bool, str]:
 
 def _criterion_3(params: OscillatorParams) -> tuple[bool, str]:
     """Recoil diffusion heats by gamma_qb quanta per second, free evolution."""
-    model = DynamicsModel(
-        omega=params.omega, freq_ratio=1.0, gamma_fb=0.0,
-        diffusion_p=4.0 * params.gamma_qb, meas_rate=0.0,
-    )
+    model = base_model(params, measurement_on=False)
     duration = 10.0 * params.period_s
     init = thermal_state(params.n_init)
     final = propagate(init, model, duration)

@@ -1,4 +1,4 @@
-"""Forward filtering, retrodiction, and the conditioned steady state."""
+"""Retrodiction and the conditioned steady state."""
 
 import math
 import re
@@ -8,13 +8,11 @@ import numpy as np
 import pytest
 
 from levamp._kernels import filter_backward
-from levamp.dynamics import CovarianceError, base_model, propagate, transition
+from levamp.dynamics import CovarianceError, transition
 from levamp.estimation import (
     PRIOR_SCALE,
-    FilterState,
     _fold_schedule,
     estimate_trial_outcome,
-    kalman_forward,
     readout_model,
     retrodict,
     retrodiction_schedule,
@@ -23,7 +21,6 @@ from levamp.estimation import (
 from levamp.params import OscillatorParams
 from levamp.protocol import build_amplified, build_conventional
 from levamp.records import MeasurementRecord
-from levamp.state import GaussianState, thermal_state
 from reference_filter import backward_filter
 
 PARAMS = OscillatorParams()
@@ -129,51 +126,37 @@ def test_smoother_step_refinement_contracts():
     assert c2 <= 0.6 * c1
 
 
-def test_forward_filter_without_detection_reduces_to_propagation():
-    free = base_model(PARAMS, measurement_on=False)
-    n = 400
-    init = GaussianState(np.array([1.0, -0.5]), thermal_state(1.2).cov)
-    traj = kalman_forward(flat_record(n), free, FilterState(init.mean, init.cov, 0.0))
-    assert len(traj.t) == n
-    for j in (0, 7, 199, n - 1):
-        if j:
-            ref = propagate(init, free, j * DT)
-        else:
-            ref = init
-        assert traj.t[j] == pytest.approx(j * DT, rel=1e-12)
-        assert np.allclose(traj.means[j], ref.mean, atol=1e-12)
-        assert np.allclose(traj.covs[j], ref.cov, atol=1e-12)
-
-
-def test_forward_filter_plateau_matches_the_steady_state():
-    traj = kalman_forward(
-        flat_record(30 * 200), MODEL, FilterState(np.zeros(2), 100.0 * np.eye(2), 0.0)
-    )
-    avg_last_period = traj.covs[-200:].mean(axis=0)
+def test_retrodiction_plateau_matches_the_steady_state():
+    """Thirty periods back from the last sample the backward covariance
+    has settled on the forward filter's steady state, time-reversed:
+    V_qp changes sign under A -> -A."""
+    _, cov = retrodiction_schedule(MODEL, DT, 30 * 200)
+    cov[0, 1] = cov[1, 0] = -cov[0, 1]
     steady = riccati_steady_state(MODEL)
-    assert np.max(np.abs(avg_last_period - steady) / np.abs(np.diag(steady)).max()) < 1e-6
+    assert np.max(np.abs(cov - steady) / np.abs(np.diag(steady)).max()) < 1e-6
 
 
-def test_forward_filter_respects_the_uncertainty_floor():
-    """Conditioning a thermal prior on a record never takes the state
-    below the Heisenberg floor det V = 1."""
-    rng = np.random.default_rng(41)
-    n = 3 * 200
-    rec = MeasurementRecord(0.0, DT, rng.standard_normal(n), np.ones(n, dtype=bool))
-    prior = thermal_state(1.2)
-    traj = kalman_forward(rec, MODEL, FilterState(prior.mean, prior.cov, 0.0))
-    assert np.all(np.linalg.det(traj.covs) >= 1.0 - 1e-9)
+def test_retrodiction_respects_the_uncertainty_floor():
+    """Conditioning on a record never takes the state below the
+    Heisenberg floor det V = 1, for readouts of 1 to 12 periods."""
+    for periods in range(1, 13):
+        _, cov = retrodiction_schedule(MODEL, DT, periods * 200)
+        assert np.linalg.det(cov) >= 1.0 - 1e-9
 
 
-def test_forward_filter_requires_gated_on_records():
-    rec = MeasurementRecord(0.0, DT, np.full(4, np.nan), np.zeros(4, dtype=bool))
-    with pytest.raises(ValueError, match="gated-on"):
-        kalman_forward(rec, MODEL, FilterState(np.zeros(2), np.eye(2), 0.0))
-
-
-def test_forward_filter_rejects_late_initial_conditions():
-    with pytest.raises(ValueError):
-        kalman_forward(flat_record(4), MODEL, FilterState(np.zeros(2), np.eye(2), 1.0))
+def test_ideal_detection_floor_deficit_is_first_order_in_the_step():
+    """At eta = 1 the post-update covariance sits below det V = 1 by a
+    discretization term: 1 - det halves, within 1 %, with each halving of
+    the step, for the steady state and for a 30-period retrodiction."""
+    ideal = readout_model(PARAMS.with_(eta=1.0))
+    for deficit in (
+        lambda s: 1.0 - np.linalg.det(riccati_steady_state(ideal, steps_per_period=s)),
+        lambda s: 1.0 - np.linalg.det(retrodiction_schedule(ideal, PERIOD / s, 30 * s)[1]),
+    ):
+        d200, d400, d800 = map(deficit, (200, 400, 800))
+        assert d800 > 0.0
+        assert d200 / d400 == pytest.approx(2.0, rel=0.01)
+        assert d400 / d800 == pytest.approx(2.0, rel=0.01)
 
 
 def test_retrodiction_recovers_a_noiseless_trajectory():
@@ -190,7 +173,6 @@ def test_retrodiction_recovers_a_noiseless_trajectory():
     rec = MeasurementRecord(0.0, DT, samples, np.ones(n, dtype=bool))
     out = retrodict(rec, MODEL, 0.0)
     assert np.max(np.abs(out.estimate - x0)) < 1e-3
-    assert out.direction == "backward"
     assert out.t == 0.0
 
 
@@ -407,15 +389,3 @@ def test_trial_outcome_requires_a_valid_schedule_and_a_readout_record():
     with pytest.raises(ValueError, match="no post-protocol record"):
         estimate_trial_outcome(pre_only, MODEL, sched)
 
-
-def test_trajectory_csv(tmp_path):
-    traj = kalman_forward(
-        flat_record(300), MODEL, FilterState(np.zeros(2), 10.0 * np.eye(2), 0.0)
-    )
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t_s,q_hat,p_hat,v_qq,v_qp,v_pp"
-    assert len(lines) == 301
-    first = [float(tok) for tok in lines[1].split(",")]
-    assert first[3] == pytest.approx(traj.covs[0][0, 0], rel=1e-8)

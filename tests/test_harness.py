@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import levamp.harness as harness
-from levamp.dynamics import base_model
+from levamp.dynamics import base_model, propagate
 from levamp.estimation import estimate_trial_outcome, readout_model, retrodiction_schedule
 from levamp.harness import (
     DisplacementFit,
@@ -211,22 +211,20 @@ def test_noiseless_conventional_map_is_just_the_kick():
 
 def test_noiseless_readout_rotation_is_periodic():
     at_zero = run_schedule_noiseless(AMP, PARAMS, thermal_state(0.0))
-    full = run_schedule_noiseless(AMP, PARAMS, thermal_state(0.0), stop_at_zero=False)
+    full = propagate(at_zero, MODEL.noiseless(), AMP.readout_duration)
     assert np.allclose(full.mean, at_zero.mean, atol=1e-9)
     assert np.allclose(full.cov, at_zero.cov, atol=1e-9)
 
 
 def test_model_for_segment_gates_and_rates():
-    hold = model_for_segment(PARAMS, Segment("feedback_hold", 1e-3, 1.0, True, True))
-    assert hold.gamma_fb == PARAMS.gamma_fb
-    assert hold.meas_rate == pytest.approx(4.0 * PARAMS.eta * PARAMS.gamma_qb)
-    assert hold.diffusion_p == pytest.approx(4.0 * PARAMS.gamma_qb)
+    with pytest.raises(ValueError, match="feedback_hold segment has no dynamics model"):
+        model_for_segment(PARAMS, Segment("feedback_hold", 1e-3, 1.0, True, True))
     soft = model_for_segment(PARAMS, Segment("soft", 1e-5, 0.5))
     assert soft.meas_rate == 0.0
     assert soft.diffusion_p == pytest.approx(PARAMS.gamma_qb)
     readout = model_for_segment(PARAMS, Segment("readout", 1e-4, 1.0, True, False))
-    assert readout.gamma_fb == 0.0
-    assert readout.meas_rate > 0.0
+    assert readout.meas_rate == pytest.approx(4.0 * PARAMS.eta * PARAMS.gamma_qb)
+    assert readout.diffusion_p == pytest.approx(4.0 * PARAMS.gamma_qb)
     assert readout == base_model(PARAMS) == MODEL
 
 

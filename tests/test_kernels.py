@@ -82,15 +82,14 @@ _PARAMS = OscillatorParams()
 SCAN_MODELS = {
     "readout": base_model(_PARAMS),
     "soft at R_MAX": soft_model(_PARAMS, R_MAX),
-    "damped": base_model(_PARAMS, feedback_on=True),
 }
 
 
 @pytest.mark.parametrize("name", SCAN_MODELS)
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 37, 2400])
 def test_blocked_scan_matches_the_per_step_recursion(name, n):
-    """The rotating readout F, the non-orthogonal soft F and the damped F,
-    over partial, whole and several blocks, agree with the step-by-step
+    """The rotating readout F and the non-orthogonal soft F, over
+    partial, whole and several blocks, agree with the step-by-step
     recursion to 1e-12 of the largest value (a few thousand ulp)."""
     model = SCAN_MODELS[name]
     f, qd = transition(model, model.local_period / 200.0)

@@ -103,7 +103,7 @@ def test_amplified_timing_anchors():
     assert AMP.t_zero == 0.0
     assert AMP.t_kick == pytest.approx(-quarter, rel=1e-12)
     hold = AMP.segments[0].duration_s
-    assert AMP.t_start == pytest.approx(-(hold + 2.0 * quarter), rel=1e-12)
+    assert AMP.boundaries()[0][0] == pytest.approx(-(hold + 2.0 * quarter), rel=1e-12)
     assert AMP.readout_duration == pytest.approx(
         DEFAULT_READOUT_PERIODS * PERIOD, rel=1e-12
     )
@@ -116,7 +116,9 @@ def test_conventional_timing_anchors():
     assert CONV.t_zero == 0.0
     assert CONV.t_kick == 0.0
     hold = CONV.segments[0].duration_s
-    assert CONV.t_start == pytest.approx(-(hold + DEFAULT_RELEASE_LEAD_S), rel=1e-12)
+    assert CONV.boundaries()[0][0] == pytest.approx(
+        -(hold + DEFAULT_RELEASE_LEAD_S), rel=1e-12
+    )
 
 
 def test_boundaries_are_contiguous():
@@ -128,7 +130,9 @@ def test_boundaries_are_contiguous():
         bounds = sched.boundaries()
         assert next(t0 for t0, _, s in bounds if s.kind == "readout") == sched.t_zero
         assert next(t0 for t0, _, s in bounds if s.kind == "kick") == sched.t_kick
-        assert bounds[0][0] == pytest.approx(sched.t_start, abs=1e-15)
+        assert bounds[0][0] == pytest.approx(
+            seconds_before_readout(sched.segments, 0), abs=1e-15
+        )
         for (_, end, _), (start, _, _) in zip(bounds, bounds[1:]):
             assert start == pytest.approx(end, abs=1e-12)
         assert bounds[-1][1] == pytest.approx(

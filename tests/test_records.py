@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 import reference_records
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from levamp.harness import simulate_trial
@@ -192,17 +192,22 @@ _PROPERTY = settings(
 )
 
 
+def _grid_is_finite(t0, dt, n):
+    """Whether MeasurementRecord accepts the grid: t0 + (n - 1) dt is finite."""
+    return math.isfinite(t0 + dt * max(n - 1, 0))
+
+
 @st.composite
 def records(draw):
     gate = draw(st.lists(st.booleans(), max_size=12))
     samples = [
         draw(st.floats(allow_nan=not on, allow_infinity=not on)) for on in gate
     ]
+    t0 = draw(st.floats(allow_nan=False, allow_infinity=False))
+    dt = draw(st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False))
+    assume(_grid_is_finite(t0, dt, len(gate)))
     return MeasurementRecord(
-        t0=draw(st.floats(allow_nan=False, allow_infinity=False)),
-        dt=draw(st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)),
-        samples=np.array(samples, dtype=float),
-        gate=np.array(gate, dtype=bool),
+        t0=t0, dt=dt, samples=np.array(samples, dtype=float), gate=np.array(gate, dtype=bool)
     )
 
 
@@ -247,6 +252,18 @@ def test_record_validation():
         MeasurementRecord(0.0, 1e-8, samples, np.ones(4, dtype=bool))
 
 
+@pytest.mark.parametrize("t0, dt", [(0.0, 1e308), (1e308, 1e308), (-1e308, 1e308)])
+def test_a_grid_past_the_float_range_is_rejected(tmp_path, t0, dt):
+    """t0 + 2 dt overflows: the record is refused, naming its last time,
+    and an LKR1 file holding that grid is refused at the dt offset."""
+    with pytest.raises(ValueError, match=r"last sample time t0 \+ \(n - 1\) dt = inf s"):
+        MeasurementRecord(t0, dt, np.zeros(3), np.ones(3, dtype=bool))
+    path = tmp_path / "rec.lkr"
+    path.write_bytes(b"LKR1" + struct.pack("<Qdd", 3, t0, dt) + bytes(8 * 3) + b"\x01" * 3)
+    with pytest.raises(ValueError, match="at offset 20"):
+        read_record_binary(path)
+
+
 def test_csv_undecodable_byte_is_a_value_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"t_s,y,gate\r\n0,1.0,1\r\n1e-7,\xff,1\r\n")
@@ -269,17 +286,17 @@ def csv_records(draw, min_size=0, max_size=12):
         )
         for on in gate
     ]
+    t0 = draw(
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from([123.456, -3.6e-6, 1e9, -0.0])
+    )
+    dt = draw(
+        st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
+        | st.sampled_from([3e-9, 9.615384615384615e-8])
+    )
+    assume(_grid_is_finite(t0, dt, len(gate)))
     return MeasurementRecord(
-        t0=draw(
-            st.floats(allow_nan=False, allow_infinity=False)
-            | st.sampled_from([123.456, -3.6e-6, 1e9, -0.0])
-        ),
-        dt=draw(
-            st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
-            | st.sampled_from([3e-9, 9.615384615384615e-8])
-        ),
-        samples=np.array(samples, dtype=float),
-        gate=np.array(gate, dtype=bool),
+        t0=t0, dt=dt, samples=np.array(samples, dtype=float), gate=np.array(gate, dtype=bool)
     )
 
 

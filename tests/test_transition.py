@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from levamp.dynamics import DynamicsModel, base_model, soft_model, transition
+from levamp.dynamics import base_model, soft_model, transition
 from levamp.params import OscillatorParams
 
 PARAMS = OscillatorParams()
@@ -21,15 +21,6 @@ MODELS = {
     "readout": base_model(PARAMS),
     "free": base_model(PARAMS, measurement_on=False),
     **{f"soft r={r:.4g}": soft_model(PARAMS, r) for r in (2.0, math.sqrt(12.0), 6.0)},
-}
-DAMPED = {
-    "damped stiff": base_model(PARAMS, feedback_on=True),
-    "damped half": DynamicsModel(
-        omega=PARAMS.omega,
-        freq_ratio=0.5,
-        gamma_fb=PARAMS.gamma_fb,
-        diffusion_p=PARAMS.gamma_qb,
-    ),
 }
 # Steps in local periods: from a tenth of the record step, through the
 # coarsest admissible step and the quarter and half periods, to ten periods.
@@ -72,17 +63,6 @@ def test_undamped_transition_matches_the_van_loan_oracle(name, periods):
     assert scaled_error(qd, qd_ref) <= 1e-13
 
 
-@pytest.mark.parametrize("periods", [1 / 2000, 1 / 200, 1 / 4, 1.0])
-@pytest.mark.parametrize("name", DAMPED)
-def test_damped_transition_matches_the_van_loan_oracle(name, periods):
-    model = DAMPED[name]
-    dt = periods * model.local_period
-    f, qd = transition(model, dt)
-    f_ref, qd_ref = van_loan(model, dt)
-    assert scaled_error(f, f_ref) <= 1e-13
-    assert scaled_error(qd, qd_ref) <= 1e-13
-
-
 @pytest.mark.parametrize("name", ["readout", "soft r=3.464", "soft r=6"])
 def test_a_long_half_integer_step_is_an_exact_inversion(name):
     """After 1234.5 local periods the rotation is -I to the last bit."""
@@ -104,7 +84,7 @@ def test_the_noise_integral_is_exact_at_short_steps():
     assert abs(qd[0, 0] - ref) <= 1e-12 * ref
 
 
-@pytest.mark.parametrize("model", [MODELS["readout"], DAMPED["damped stiff"]])
+@pytest.mark.parametrize("model", [MODELS["readout"]])
 def test_zero_step_is_the_identity_without_noise(model):
     f, qd = transition(model, 0.0)
     assert np.array_equal(f, np.eye(2))
@@ -115,13 +95,6 @@ def test_zero_step_is_the_identity_without_noise(model):
 def test_transition_rejects_negative_and_non_finite_steps(bad):
     with pytest.raises(ValueError, match="nonnegative and finite"):
         transition(MODELS["readout"], bad)
-
-
-@pytest.mark.parametrize("gamma_over_2w", [1.0, 1.5])
-def test_critical_and_over_damping_are_rejected(gamma_over_2w):
-    model = DynamicsModel(omega=PARAMS.omega, gamma_fb=2.0 * PARAMS.omega * gamma_over_2w)
-    with pytest.raises(ValueError, match="not underdamped"):
-        transition(model, 1e-7)
 
 
 def test_the_runtime_loads_no_scipy(tmp_path):
