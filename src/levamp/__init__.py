@@ -41,13 +41,13 @@ from .harness import (
     Ensemble,
     EnsembleStats,
     NoiseBudget,
-    SensitivityCurve,
     SensitivityPoint,
     ensemble_stats,
     fit_displacement_vs_tau,
     fit_k1,
     noise_budget,
     run_ensemble,
+    run_grid,
     run_schedule_noiseless,
     sensitivity_curve,
     simulate_trial,
@@ -102,7 +102,6 @@ __all__ = [
     "ProtocolSchedule",
     "RunConfig",
     "Segment",
-    "SensitivityCurve",
     "SensitivityPoint",
     "apply_impulse",
     "base_model",
@@ -128,6 +127,7 @@ __all__ = [
     "retrodict",
     "riccati_steady_state",
     "run_ensemble",
+    "run_grid",
     "run_schedule_noiseless",
     "schedule_to_json",
     "sensitivity_curve",

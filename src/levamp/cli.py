@@ -31,11 +31,11 @@ from . import __version__, selftest as selftest_mod
 from .config import ConfigError, RunConfig, load_config, manifest_inputs
 from .harness import (
     DEFAULT_WORKERS,
-    derive_seed,
     ensemble_stats,
     fit_displacement_vs_tau,
     fit_k1,
     run_ensemble,
+    run_grid,
     scaling_rows,
     sensitivity_curve,
     write_ensemble_csv,
@@ -132,15 +132,11 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, seed: int,
     )
 
 
-def _schedule_for(cfg: RunConfig, r: float, tau_s: float):
-    return build_for_ratio(cfg.params, r, tau_s, cfg.readout_periods * cfg.params.period_s)
-
-
 def _run_fig3(out: Path, name: str, command: str, cfg: RunConfig, seed: int,
               workers: int) -> None:
     r = math.sqrt(12.0) if name == "fig3-amplified" else 1.0
     tau_s = 1000e-9
-    schedule = _schedule_for(cfg, r, tau_s)
+    schedule = build_for_ratio(cfg.params, r, tau_s, cfg.readout_periods * cfg.params.period_s)
     ensemble = run_ensemble(
         schedule, cfg.params, cfg.n_trials, seed,
         dt_per_period=cfg.dt_per_period, workers=workers,
@@ -166,34 +162,27 @@ def _run_fig3(out: Path, name: str, command: str, cfg: RunConfig, seed: int,
 
 def _run_scaling(out: Path, name: str, command: str, cfg: RunConfig, seed: int,
                  workers: int) -> None:
-    tau_values_s = [t / 1e9 for t in cfg.tau_grid_ns]
+    taus = [t / 1e9 for t in cfg.tau_grid_ns]
+    ensembles = run_grid(
+        cfg.params, [(r, tau_s) for r in cfg.r_grid for tau_s in taus], cfg.n_trials, seed,
+        readout_periods=cfg.readout_periods, dt_per_period=cfg.dt_per_period, workers=workers,
+    )
     rows = []
     fits = []
-    per_point = {}
-    index = 0
-    for r in cfg.r_grid:
-        ensembles = []
-        for tau_s in tau_values_s:
-            schedule = _schedule_for(cfg, r, tau_s)
-            ensembles.append(
-                run_ensemble(
-                    schedule, cfg.params, cfg.n_trials, derive_seed(seed, index),
-                    dt_per_period=cfg.dt_per_period, workers=workers,
-                )
-            )
-            index += 1
-        if len(set(tau_values_s)) >= 3:
-            fit = fit_displacement_vs_tau(ensembles)
+    results = {}
+    for i, r in enumerate(cfg.r_grid):
+        group = ensembles[i * len(taus):(i + 1) * len(taus)]
+        if len(set(taus)) >= 3:
+            fit = fit_displacement_vs_tau(group)
             fits.append(fit)
             rows.extend(scaling_rows(fit))
-            per_point[f"k_r_{r:.6g}"] = fit.k
-            per_point[f"k_se_r_{r:.6g}"] = fit.k_se
+            results[f"k_r_{r:.6g}"] = fit.k
+            results[f"k_se_r_{r:.6g}"] = fit.k_se
         else:
-            for e in ensembles:
+            for e in group:
                 stats = ensemble_stats(e)
                 rows.append((e.r, e.tau_s, stats.signal_mean, stats.signal_mean_se))
     write_scaling_csv(rows, out / "scaling.csv")
-    results = dict(per_point)
     if len(fits) >= 2:
         k1, k1_se = fit_k1(fits)
         results["k1_zp_per_s"] = k1
@@ -211,10 +200,10 @@ def _run_sensitivity(out: Path, name: str, command: str, cfg: RunConfig, seed: i
     )
     write_sensitivity_csv(curve, out / "sensitivity.csv")
     results = {
-        f"dp_min_kev_c_r_{pt.r:.6g}": pt.dp_min_kev_c for pt in curve.points
+        f"dp_min_kev_c_r_{pt.r:.6g}": pt.dp_min_kev_c for pt in curve
     }
     _write_manifest(out, command, cfg, seed, ["sensitivity.csv", "manifest.json"], results)
-    best = min(curve.points, key=lambda pt: pt.dp_min_kev_c)
+    best = min(curve, key=lambda pt: pt.dp_min_kev_c)
     print(f"{name}: best dp_min = {best.dp_min_kev_c:.3f} keV/c at r = {best.r:.3f} -> {out}")
 
 

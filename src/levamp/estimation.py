@@ -56,10 +56,12 @@ from .protocol import require_valid
 from .records import MeasurementRecord
 from .state import _as_cov, _as_mean
 
-# The retrodiction prior is effectively flat: covariance PRIOR_SCALE
-# times identity. Results are insensitive to the scale over several
-# orders of magnitude because the information filter forgets it within
-# a few measurement time constants.
+# The retrodiction prior is nearly flat: covariance PRIOR_SCALE times
+# identity. The scale still shows in the results: on 1000-sample
+# simulated readouts (r = sqrt 12, 5 periods), going from 1e6 to 1e12
+# moves the estimate by 3e-7 to 1.3e-6 relative and the covariance by
+# 5.0e-7, both visible in 9-digit CSVs. ROADMAP item 9 (an exactly flat
+# prior in information form) would remove it.
 PRIOR_SCALE = 1e6
 
 

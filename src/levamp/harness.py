@@ -71,12 +71,9 @@ class Ensemble:
     record-independent for a linear Gaussian model).
     """
 
-    params: OscillatorParams
     r: float
     tau_s: float
     mode: str
-    master_seed: int
-    dt_per_period: int
     outcomes: np.ndarray = field(repr=False)
     truths: np.ndarray = field(repr=False)
     est_cov: np.ndarray = field(repr=False)
@@ -243,12 +240,9 @@ def run_ensemble(
             list(pool.map(work, starts))
 
     return Ensemble(
-        params=params,
         r=schedule.squeeze_ratio,
         tau_s=schedule.tau_s,
         mode=schedule.mode,
-        master_seed=int(master_seed),
-        dt_per_period=int(dt_per_period),
         outcomes=outcomes,
         truths=truths,
         est_cov=est_cov,
@@ -329,8 +323,6 @@ class EnsembleStats:
     signal_mean_se: float
     sigma: float
     sigma_se: float
-    means: np.ndarray
-    stds: np.ndarray
     cov: np.ndarray
 
 
@@ -369,8 +361,6 @@ def ensemble_stats(ensemble: Ensemble) -> EnsembleStats:
         signal_mean_se=sigma / math.sqrt(n),
         sigma=sigma,
         sigma_se=_jackknife_std_se(signal),
-        means=ensemble.outcomes.mean(axis=0),
-        stds=ensemble.outcomes.std(axis=0, ddof=1),
         cov=centered.T @ centered / (n - 1.0),
     )
 
@@ -437,7 +427,7 @@ def fit_k1(fits) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# noise budget and sensitivity
+# noise budget, ensemble grids and sensitivity
 
 
 @dataclass(frozen=True)
@@ -475,23 +465,10 @@ def noise_budget(params: OscillatorParams, r: float) -> NoiseBudget:
 class SensitivityPoint:
     r: float
     sigma_tot: float
-    sigma_tot_se: float
     dp_min_zp: float
-    dp_min_zp_se: float
     dp_min_kev_c: float
-    dp_min_kev_c_se: float
     db_vs_sqrt2pzp: float
-    db_vs_sqrt2pzp_se: float
     db_vs_pzp: float
-    db_vs_pzp_se: float
-
-
-@dataclass(frozen=True)
-class SensitivityCurve:
-    params: OscillatorParams
-    n_trials: int
-    master_seed: int
-    points: tuple[SensitivityPoint, ...]
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -505,6 +482,33 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def run_grid(
+    params: OscillatorParams,
+    points,
+    n_trials: int,
+    master_seed: int,
+    *,
+    readout_periods: float = 5.0,
+    dt_per_period: int = DEFAULT_DT_PER_PERIOD,
+    workers: int | None = None,
+) -> list[Ensemble]:
+    """One ensemble per (r, tau_s) point, in the order given.
+
+    Point j runs the :func:`build_for_ratio` schedule with a readout of
+    ``readout_periods`` base periods, seeded by
+    ``derive_seed(master_seed, j)``.  The ensembles run one after
+    another, each on ``workers`` threads.
+    """
+    readout = readout_periods * params.period_s
+    return [
+        run_ensemble(
+            build_for_ratio(params, r, tau_s, readout), params, n_trials,
+            derive_seed(master_seed, j), dt_per_period=dt_per_period, workers=workers,
+        )
+        for j, (r, tau_s) in enumerate(points)
+    ]
+
+
 def sensitivity_curve(
     params: OscillatorParams,
     r_grid,
@@ -514,7 +518,7 @@ def sensitivity_curve(
     readout_periods: float = 5.0,
     dt_per_period: int = DEFAULT_DT_PER_PERIOD,
     workers: int | None = None,
-) -> SensitivityCurve:
+) -> tuple[SensitivityPoint, ...]:
     """Monte-Carlo minimum resolvable impulse across squeeze ratios.
 
     Runs a null (dP = 0) ensemble per ratio; the spread of the
@@ -524,67 +528,51 @@ def sensitivity_curve(
     configured zero-point momentum, and in dB relative to both the
     ideal-system resolution sqrt(2) p_zp and to p_zp itself.
     """
-    readout = readout_periods * params.period_s
+    rs = [float(r) for r in r_grid]
+    if any(r < 1.0 for r in rs):
+        raise ValueError("squeeze ratios must be >= 1")
+    ensembles = run_grid(
+        params, [(r, 0.0) for r in rs], n_trials, master_seed,
+        readout_periods=readout_periods, dt_per_period=dt_per_period, workers=workers,
+    )
     p_zp_kev = params.p_zp_report_kev_c()
     points = []
-    for index, r in enumerate(r_grid):
-        if r < 1.0:
-            raise ValueError("squeeze ratios must be >= 1")
-        schedule = build_for_ratio(params, r, 0.0, readout)
-        ensemble = run_ensemble(
-            schedule,
-            params,
-            n_trials,
-            derive_seed(master_seed, index),
-            dt_per_period=dt_per_period,
-            workers=workers,
-        )
-        stats = ensemble_stats(ensemble)
-        r_eff = max(r, 1.0)
-        dp_zp = stats.sigma / r_eff
-        dp_zp_se = stats.sigma_se / r_eff
+    for r, ensemble in zip(rs, ensembles):
+        sigma = ensemble_stats(ensemble).sigma
+        dp_zp = sigma / r
         dp_kev = dp_zp * p_zp_kev
-        db_factor = 10.0 / math.log(10.0)
         points.append(
             SensitivityPoint(
-                r=float(r),
-                sigma_tot=stats.sigma,
-                sigma_tot_se=stats.sigma_se,
+                r=r,
+                sigma_tot=sigma,
                 dp_min_zp=dp_zp,
-                dp_min_zp_se=dp_zp_se,
                 dp_min_kev_c=dp_kev,
-                dp_min_kev_c_se=dp_zp_se * p_zp_kev,
                 db_vs_sqrt2pzp=db_ratio(dp_kev, math.sqrt(2.0) * p_zp_kev),
-                db_vs_sqrt2pzp_se=db_factor * dp_zp_se / dp_zp,
                 db_vs_pzp=db_ratio(dp_kev, p_zp_kev),
-                db_vs_pzp_se=db_factor * dp_zp_se / dp_zp,
             )
         )
-    return SensitivityCurve(
-        params=params,
-        n_trials=int(n_trials),
-        master_seed=int(master_seed),
-        points=tuple(points),
-    )
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------
 # CSV emission (9 significant digits throughout)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+def _write_csv(path, header: str, rows) -> None:
+    """Write the header and one line per row: a str cell as it is (the
+    trial index, integer text for any n), any other cell as a float."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else format(float(c), ".9g")
+                              for c in row) + "\n")
 
 
 def write_ensemble_csv(ensemble: Ensemble, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("trial_index,q_est,p_est,q_true,p_true\n")
-        for i in range(ensemble.n_trials):
-            q_est, p_est = ensemble.outcomes[i]
-            q_true, p_true = ensemble.truths[i]
-            fh.write(
-                f"{i},{_fmt(q_est)},{_fmt(p_est)},{_fmt(q_true)},{_fmt(p_true)}\n"
-            )
+    """One row per trial: its index, retrodicted (Q, P) and true (Q, P)."""
+    table = np.hstack([ensemble.outcomes, ensemble.truths]).tolist()
+    _write_csv(path, "trial_index,q_est,p_est,q_true,p_true",
+               ([str(i), *row] for i, row in enumerate(table)))
 
 
 def scaling_rows(fit: DisplacementFit) -> list[tuple[float, float, float, float]]:
@@ -598,17 +586,13 @@ def scaling_rows(fit: DisplacementFit) -> list[tuple[float, float, float, float]
 
 def write_scaling_csv(rows, path) -> None:
     """One row per (r, tau) ensemble: mean displacement and its SE."""
-    with open(path, "w", newline="") as fh:
-        fh.write("r,tau_s,dq_mean,dq_se\n")
-        for r, tau_s, dq_mean, dq_se in rows:
-            fh.write(f"{_fmt(r)},{_fmt(tau_s)},{_fmt(dq_mean)},{_fmt(dq_se)}\n")
+    _write_csv(path, "r,tau_s,dq_mean,dq_se", rows)
 
 
-def write_sensitivity_csv(curve: SensitivityCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("r,sigma_tot,dp_min_zp,dp_min_kev_c,db_vs_ideal,db_vs_pzp\n")
-        for pt in curve.points:
-            fh.write(
-                f"{_fmt(pt.r)},{_fmt(pt.sigma_tot)},{_fmt(pt.dp_min_zp)},"
-                f"{_fmt(pt.dp_min_kev_c)},{_fmt(pt.db_vs_sqrt2pzp)},{_fmt(pt.db_vs_pzp)}\n"
-            )
+def write_sensitivity_csv(curve: tuple[SensitivityPoint, ...], path) -> None:
+    """One row per squeeze ratio of a :func:`sensitivity_curve`."""
+    _write_csv(
+        path, "r,sigma_tot,dp_min_zp,dp_min_kev_c,db_vs_ideal,db_vs_pzp",
+        ((pt.r, pt.sigma_tot, pt.dp_min_zp, pt.dp_min_kev_c, pt.db_vs_sqrt2pzp, pt.db_vs_pzp)
+         for pt in curve),
+    )

@@ -120,7 +120,8 @@ def read_record_csv(path) -> MeasurementRecord:
     spacing of 1 s.  A row that is not three numbers with a gate of 0
     or 1, or whose gated-on sample is not finite, raises ``ValueError``
     naming its line.  So does a non-finite first t_s (t0), a second t_s
-    that leaves dt not positive and finite, and the first row k whose
+    that leaves dt not positive and finite, a grid whose last time
+    t0 + (n - 1) dt is not finite, and the first row k whose
     t_s is off t0 + k dt by more than 1e-6 dt plus (k + 2) ulp of the
     grid's largest time: rounding the timestamps alone moves them that
     far.
@@ -172,6 +173,11 @@ def read_record_csv(path) -> MeasurementRecord:
         raise ValueError(
             f"line {lines[1]}: dt {dt!r} from the first two t_s must be positive and finite, "
             f"got {fields[1]}"
+        )
+    if not np.isfinite(t0 + (n - 1) * dt):
+        raise ValueError(
+            f"line {lines[-1]}: the grid t0 + k dt with t0 = {t0!r}, dt = {dt!r} leaves "
+            f"the float range at k = {n - 1}"
         )
     k = np.arange(n)
     grid = t0 + k * dt

@@ -12,6 +12,7 @@ from levamp.estimation import estimate_trial_outcome, readout_model, retrodictio
 from levamp.harness import (
     DisplacementFit,
     Ensemble,
+    SensitivityPoint,
     _jackknife_std_se,
     derive_seed,
     ensemble_stats,
@@ -44,12 +45,9 @@ CONV = build_conventional(PARAMS, 1000e-9)
 def synthetic_ensemble(outcomes, r=R12, tau_s=1e-7, mode="amplified"):
     outcomes = np.asarray(outcomes, dtype=float)
     return Ensemble(
-        params=PARAMS,
         r=r,
         tau_s=tau_s,
         mode=mode,
-        master_seed=0,
-        dt_per_period=200,
         outcomes=outcomes,
         truths=outcomes.copy(),
         est_cov=np.eye(2),
@@ -396,12 +394,28 @@ def test_noise_budget_rejects_r_below_one():
         noise_budget(PARAMS, 0.99)
 
 
+@pytest.mark.parametrize(
+    "periods, sigma_excess, var_excess",
+    [(5, (0.016, 0.018), (0.093, 0.095)), (12, (-0.001, 0.0), (-0.002, -0.001))],
+)
+def test_finite_readout_excess_over_the_noise_budget(periods, sigma_excess, var_excess):
+    """The budget's 1/sqrt(eta) vs the exact retrodicted Q variance of a
+    finite readout, at r = sqrt(12): sigma_Q is 1.7 % above the budget at
+    5 periods and within 0.1 % at 12, where the variance is below
+    1/sqrt(eta), not above it."""
+    budget = noise_budget(PARAMS, R12)
+    _, cov = retrodiction_schedule(MODEL, PERIOD / 200, periods * 200)
+    sigma = math.sqrt(budget.sigma_qi_sq + budget.recoil_term + cov[0, 0])
+    assert sigma_excess[0] < sigma / budget.sigma_tot - 1.0 < sigma_excess[1]
+    assert var_excess[0] < cov[0, 0] / budget.sigma_qf_sq - 1.0 < var_excess[1]
+
+
 def test_sensitivity_curve_improves_with_amplification():
     curve = sensitivity_curve(PARAMS, (1.0, 2.0, R12), 200, 606, workers=4)
-    assert [pt.r for pt in curve.points] == [1.0, 2.0, R12]
-    dps = [pt.dp_min_zp for pt in curve.points]
+    assert [pt.r for pt in curve] == [1.0, 2.0, R12]
+    dps = [pt.dp_min_zp for pt in curve]
     assert dps[0] > dps[1] > dps[2]
-    for pt in curve.points:
+    for pt in curve:
         assert pt.db_vs_pzp - pt.db_vs_sqrt2pzp == pytest.approx(
             10.0 * math.log10(math.sqrt(2.0)), abs=1e-9
         )
@@ -453,4 +467,54 @@ def test_sensitivity_csv(tmp_path):
     assert len(lines) == 3
     row = lines[2].split(",")
     assert float(row[0]) == pytest.approx(R12, rel=1e-8)
-    assert float(row[2]) == pytest.approx(curve.points[1].dp_min_zp, rel=1e-8)
+    assert float(row[2]) == pytest.approx(curve[1].dp_min_zp, rel=1e-8)
+
+
+def test_csv_writers_write_this_exact_text(tmp_path):
+    """Floats get 9 significant digits (signed zero, tiny values, a tie
+    at the ninth digit rounded to even), the trial index integer text."""
+    outcomes = np.column_stack([np.arange(11) * 0.25, -np.arange(11.0)])
+    outcomes[0] = -0.0, 1e-300
+    outcomes[1] = 123456789.5, 1.0 / 3.0
+    truths = np.column_stack([np.arange(11) / 8.0, np.full(11, 0.1)])
+    ens = dataclasses.replace(synthetic_ensemble(outcomes), truths=truths)
+    write_ensemble_csv(ens, tmp_path / "ensemble.csv")
+    assert (tmp_path / "ensemble.csv").read_bytes().decode() == (
+        "trial_index,q_est,p_est,q_true,p_true\n"
+        "0,-0,1e-300,0,0.1\n"
+        "1,123456790,0.333333333,0.125,0.1\n"
+        "2,0.5,-2,0.25,0.1\n"
+        "3,0.75,-3,0.375,0.1\n"
+        "4,1,-4,0.5,0.1\n"
+        "5,1.25,-5,0.625,0.1\n"
+        "6,1.5,-6,0.75,0.1\n"
+        "7,1.75,-7,0.875,0.1\n"
+        "8,2,-8,1,0.1\n"
+        "9,2.25,-9,1.125,0.1\n"
+        "10,2.5,-10,1.25,0.1\n"
+    )
+
+    write_scaling_csv(
+        [(1.0, 1e-7, 2.5, 0.0125), (R12, 1.77827941e-7, -0.0, 1e-300),
+         (2.0, 1e-6, 123456789.5, 2.0 / 3.0)],
+        tmp_path / "scaling.csv",
+    )
+    assert (tmp_path / "scaling.csv").read_bytes().decode() == (
+        "r,tau_s,dq_mean,dq_se\n"
+        "1,1e-07,2.5,0.0125\n"
+        "3.46410162,1.77827941e-07,-0,1e-300\n"
+        "2,1e-06,123456790,0.666666667\n"
+    )
+
+    curve = (
+        SensitivityPoint(r=1.0, sigma_tot=2.5, dp_min_zp=2.5, dp_min_kev_c=19.8,
+                         db_vs_sqrt2pzp=-0.0, db_vs_pzp=1e-300),
+        SensitivityPoint(r=R12, sigma_tot=123456789.5, dp_min_zp=1.0 / 3.0,
+                         dp_min_kev_c=6.25, db_vs_sqrt2pzp=-2.53, db_vs_pzp=-1.02),
+    )
+    write_sensitivity_csv(curve, tmp_path / "sensitivity.csv")
+    assert (tmp_path / "sensitivity.csv").read_bytes().decode() == (
+        "r,sigma_tot,dp_min_zp,dp_min_kev_c,db_vs_ideal,db_vs_pzp\n"
+        "1,2.5,2.5,19.8,-0,1e-300\n"
+        "3.46410162,123456790,0.333333333,6.25,-2.53,-1.02\n"
+    )

@@ -264,6 +264,16 @@ def test_a_grid_past_the_float_range_is_rejected(tmp_path, t0, dt):
         read_record_binary(path)
 
 
+def test_csv_grid_past_the_float_range_is_named_before_the_off_grid_check(tmp_path):
+    """Every t_s is finite but t0 + 2 dt overflows: the reader names the
+    last line and the float range, not a row that lies on the grid."""
+    path = tmp_path / "overflow.csv"
+    path.write_bytes(b"t_s,y,gate\r\n1e308,0,1\r\n1.5e308,0,1\r\n1.7e308,0,1\r\n")
+    with pytest.raises(ValueError, match=r"^line 4: the grid t0 \+ k dt .* leaves the float "
+                                         r"range at k = 2$"):
+        read_record_csv(path)
+
+
 def test_csv_undecodable_byte_is_a_value_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"t_s,y,gate\r\n0,1.0,1\r\n1e-7,\xff,1\r\n")
