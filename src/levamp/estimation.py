@@ -21,7 +21,9 @@ gate, prior scale) the recursion runs once and yields weights with
 mean = record · weights, which :func:`retrodiction_schedule` also hands
 to the batched ensemble.  The recursion itself steps the three Python
 floats of the symmetric 2x2 covariance through
-``dynamics._joseph_update`` and ``dynamics._predict``.
+``dynamics._joseph_update`` and ``dynamics._predict``.  The steady state
+is that recursion's fixed point, which :func:`riccati_steady_state`
+reaches by doubling: k doublings cover 2^k steps.
 
 Measurement convention, shared with the simulator: a record sample
 y_k = sqrt(meas_rate) Q(t_k) + xi_k / sqrt(dt) refers to the state at
@@ -210,39 +212,69 @@ def _fold_schedule(finv, qrev, sqrt_k, dt, gate, prior_scale):
 
 
 def riccati_steady_state(model: DynamicsModel, steps_per_period: int = 200) -> np.ndarray:
-    """Period-averaged steady conditional covariance of the filter.
+    """Steady conditional covariance of the filter, just after an update.
 
-    Iterates the discrete measure-and-predict recursion from V = I
-    and averages the post-update covariance over each local period
-    until the average moves by less than 1e-10 per period.
+    The fixed point of the measure-and-predict recursion at
+    ``steps_per_period`` samples per local period, found by doubling
+    (Anderson & Moore, *Optimal Filtering*, 1979): with A = Fᵀ,
+    G = diag(meas_rate dt, 0) and H = Q_d, each doubling sets
+    W = (I + G H)⁻¹, then A <- A W A, G <- G + A W G Aᵀ and
+    H <- H + Aᵀ H W A, so that after k doublings H is the prior
+    covariance 2^k steps on from zero.  H stops changing after a dozen
+    or so doublings; its Joseph update is returned.
     """
+    steps_per_period = operator.index(steps_per_period)
+    if steps_per_period < 1:
+        raise ValueError("need at least one step per period")
     if model.meas_rate <= 0.0:
         raise ValueError("riccati_steady_state needs meas_rate > 0")
     dt = model.local_period / steps_per_period
-    sqrt_k = math.sqrt(model.meas_rate)
-    inv_dt = 1.0 / dt
+    _check_dt(model, dt)
     f, qd = transition(model, dt)
-    f, q = _flat(f), _sym(qd)
-
-    cov = (1.0, 0.0, 1.0)
-    previous = None
-    for _ in range(100_000):
-        acc_qq = acc_qp = acc_pp = 0.0
-        for _ in range(steps_per_period):
-            _, cov = _joseph_update(cov, sqrt_k, inv_dt)
-            acc_qq += cov[0]
-            acc_qp += cov[1]
-            acc_pp += cov[2]
-            cov = _predict(cov, f, q)
-        avg = tuple(acc / steps_per_period for acc in (acc_qq, acc_qp, acc_pp))
-        if not all(map(math.isfinite, avg)) or avg[0] > 1e12:
-            raise RuntimeError("steady-state covariance iteration diverged")
-        if previous is not None and max(abs(a - b) for a, b in zip(avg, previous)) < 1e-10:
-            return _mat(avg)
-        previous = avg
+    f00, f01, f10, f11 = _flat(f)
+    a = (f00, f10, f01, f11)
+    g = (model.meas_rate * dt, 0.0, 0.0)
+    h = _sym(qd)
+    for _ in range(64):  # 2^64 steps: an H still moving by then never settles
+        gf, hf = _full(g), _full(h)
+        m00, m01, m10, m11 = _product(gf, hf)  # G H
+        m00 += 1.0
+        m11 += 1.0
+        det = m00 * m11 - m01 * m10
+        w = (m11 / det, -m01 / det, -m10 / det, m00 / det)
+        a00, a01, a10, a11 = a
+        g = _predict(_symmetrized(_product(w, gf)), a, g)
+        h_next = _predict(_symmetrized(_product(hf, w)), (a00, a10, a01, a11), h)
+        a = _product(_product(a, w), a)
+        if not all(map(math.isfinite, h_next)):
+            raise RuntimeError("steady-state covariance doubling diverged")
+        if h_next == h:
+            _, cov = _joseph_update(h, math.sqrt(model.meas_rate), 1.0 / dt)
+            return _mat(cov)
+        h = h_next
     raise RuntimeError(
-        "steady-state covariance iteration did not converge; "
+        "steady-state covariance doubling did not converge; "
         "is the model detectable?"
+    )
+
+
+def _full(v):
+    """A symmetric (V_qq, V_qp, V_pp) as a general 2x2 of four floats."""
+    return v[0], v[1], v[1], v[2]
+
+
+def _symmetrized(x):
+    """A 2x2 of four floats that is symmetric up to rounding, as three."""
+    return x[0], 0.5 * (x[1] + x[2]), x[3]
+
+
+def _product(x, y):
+    """Product of two general 2x2 matrices, each four floats."""
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    return (
+        x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
+        x10 * y00 + x11 * y10, x10 * y01 + x11 * y11,
     )
 
 

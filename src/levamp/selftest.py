@@ -65,7 +65,7 @@ class CriterionResult:
         status = "PASS" if self.passed else "FAIL"
         return (
             f"[{self.index:2d}/12] {status} {self.name}: {self.detail} "
-            f"({self.seconds:.1f} s)"
+            f"({self.seconds:.3f} s)"
         )
 
 

@@ -5,7 +5,7 @@ its one-line verdict, and fails if the criterion fails or overruns its
 time budget. Run with -s (or read the captured output) to see the lines.
 """
 
-from levamp.selftest import run_criterion
+from levamp.selftest import CriterionResult, run_criterion
 
 
 def check(index):
@@ -60,3 +60,10 @@ def test_criterion_11_bitwise_reproducibility_across_workers():
 
 def test_criterion_12_reported_covariance_is_honest():
     check(12)
+
+
+def test_a_criterion_line_reads_its_time_to_the_millisecond():
+    result = CriterionResult(4, "steady state", True, "V11 = 2.6653", 0.0123456)
+    assert result.line() == "[ 4/12] PASS steady state: V11 = 2.6653 (0.012 s)"
+    failed = CriterionResult(11, "workers", False, "differ", 12.3456)
+    assert failed.line() == "[11/12] FAIL workers: differ (12.346 s)"

@@ -6,9 +6,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levamp._kernels import filter_backward
-from levamp.dynamics import CovarianceError, transition
+from levamp.dynamics import (
+    CovarianceError,
+    _check_pd,
+    _flat,
+    _joseph_update,
+    _predict,
+    _sym,
+    transition,
+)
 from levamp.estimation import (
     PRIOR_SCALE,
     _fold_schedule,
@@ -29,11 +39,11 @@ PERIOD = PARAMS.period_s
 DT = PERIOD / 200.0
 R12 = math.sqrt(12.0)
 
-# Period-averaged post-update position variance of the conditioned
-# steady state at the default parameters, frozen from this implementation
-# and cross-checked against the fixed-point recursion below.
-V11_STEADY = 2.665332263602138
-V11_STEADY_IDEAL = 0.9876663848900447
+# Post-update position variance of the conditioned steady state at the
+# default parameters, frozen from this implementation and cross-checked
+# against the fixed-point recursions below.
+V11_STEADY = 2.665332263674396
+V11_STEADY_IDEAL = 0.98766638490526
 
 
 def flat_record(n, dt=DT, t0=0.0, value=0.0):
@@ -65,6 +75,29 @@ def period_map_average(model, steps):
     return avg
 
 
+def float_steps(model, steps):
+    """One measure-and-predict step at ``steps`` per period, on three floats."""
+    dt = model.local_period / steps
+    f, qd = transition(model, dt)
+    f, q = _flat(f), _sym(qd)
+    sqrt_k = math.sqrt(model.meas_rate)
+
+    def step(v):
+        return _joseph_update(_predict(v, f, q), sqrt_k, 1.0 / dt)[1]
+
+    return step
+
+
+def period_residual(model, steps, v):
+    """Largest change one local period of steps makes to the post-update
+    covariance v, relative to its largest diagonal entry."""
+    step = float_steps(model, steps)
+    start = w = _sym(v)
+    for _ in range(steps):
+        w = step(w)
+    return max(abs(a - b) for a, b in zip(w, start)) / max(start[0], start[2])
+
+
 def test_steady_state_position_variance():
     v = riccati_steady_state(MODEL)
     assert v[0, 0] == pytest.approx(V11_STEADY, abs=1e-9)
@@ -74,12 +107,56 @@ def test_steady_state_position_variance():
 def test_steady_state_matches_fixed_point_recursion():
     v = riccati_steady_state(MODEL, steps_per_period=120)
     ref = period_map_average(MODEL, 120)
-    assert np.allclose(v, ref, atol=1e-8)
+    assert np.allclose(v, ref, rtol=0.0, atol=1e-11)
+
+
+@pytest.mark.parametrize("steps", [100, 200, 400])
+@pytest.mark.parametrize("eta", [0.14, 1.0])
+def test_steady_state_is_a_fixed_point_of_one_period(eta, steps):
+    model = readout_model(PARAMS.with_(eta=eta))
+    assert period_residual(model, steps, riccati_steady_state(model, steps)) <= 1e-12
+
+
+@pytest.mark.parametrize("eta", [0.14, 1.0])
+def test_steady_state_matches_the_forward_iteration_where_it_stops(eta):
+    """Step the float recursion from V = I until it revisits a covariance
+    it has held before, its rounding-level cycle."""
+    model = readout_model(PARAMS.with_(eta=eta))
+    step = float_steps(model, 200)
+    v, seen = (1.0, 0.0, 1.0), set()
+    while v not in seen:
+        seen.add(v)
+        v = step(v)
+    assert riccati_steady_state(model)[0, 0] == pytest.approx(v[0], rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.floats(0.05, 1.0),
+    st.floats(0.25, 4.0),
+    st.integers(50, 800),
+)
+def test_steady_state_is_a_positive_definite_fixed_point(eta, backaction, steps):
+    model = readout_model(PARAMS.with_(eta=eta, gamma_qb_hz=backaction * PARAMS.gamma_qb_hz))
+    v = riccati_steady_state(model, steps)
+    assert v[0, 1] == v[1, 0]
+    _check_pd(_sym(v), 0.0)
+    assert period_residual(model, steps, v) <= 1e-12
+
+
+def test_steady_state_takes_a_whole_admissible_step_count():
+    """Fifty steps per period is the coarsest step the estimator accepts."""
+    for steps in (0, 49):
+        with pytest.raises(ValueError):
+            riccati_steady_state(MODEL, steps)
+    with pytest.raises(TypeError):
+        riccati_steady_state(MODEL, 2.5)
+    assert riccati_steady_state(MODEL, 50)[0, 0] > 0.0
 
 
 def test_steady_state_with_ideal_detection():
     """Lossless detection conditions the oscillator to an almost pure
-    state; the first-order update leaves the period-averaged determinant
+    state; the first-order update leaves the steady-state determinant
     a fraction of a percent from the floor at the default step size."""
     v = riccati_steady_state(readout_model(PARAMS.with_(eta=1.0)))
     assert v[0, 0] == pytest.approx(V11_STEADY_IDEAL, abs=1e-9)
