@@ -96,17 +96,6 @@ class DynamicsModel:
         """Coarsest admissible integration step for this model."""
         return self.local_period / MIN_STEPS_PER_PERIOD
 
-    def drift_matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [0.0, self.omega],
-                [-self.omega * self.freq_ratio**2, 0.0],
-            ]
-        )
-
-    def diffusion_matrix(self) -> np.ndarray:
-        return np.diag([0.0, self.diffusion_p])
-
     def noiseless(self) -> "DynamicsModel":
         """Copy with diffusion and measurement switched off."""
         return replace(self, diffusion_p=0.0, meas_rate=0.0)

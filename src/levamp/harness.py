@@ -34,7 +34,7 @@ from . import _kernels
 from .dynamics import DynamicsModel, base_model, propagate, soft_model, transition
 from .estimation import readout_model, retrodiction_schedule
 from .params import OscillatorParams, db_ratio
-from .protocol import ProtocolSchedule, Segment, build_for_ratio, require_valid
+from .protocol import MEASURED_KINDS, ProtocolSchedule, Segment, build_for_ratio, require_valid
 from .records import MeasurementRecord
 from .state import GaussianState, apply_impulse
 
@@ -49,8 +49,8 @@ def model_for_segment(params: OscillatorParams, segment: Segment) -> DynamicsMod
 
     Recoil diffusion scales with optical power, i.e. with the square
     of the local frequency ratio; detection contributes only where the
-    segment gates it on.  The feedback hold has no model: it prepares
-    the thermal state that a trial draws.
+    segment's kind measures.  The feedback hold has no model: it
+    prepares the thermal state that a trial draws.
     """
     if segment.kind == "feedback_hold":
         raise ValueError("feedback_hold segment has no dynamics model")
@@ -58,7 +58,7 @@ def model_for_segment(params: OscillatorParams, segment: Segment) -> DynamicsMod
         return soft_model(params, 1.0 / segment.freq_ratio)
     if segment.freq_ratio != 1.0:
         raise ValueError(f"{segment.kind} segment must run at the base frequency")
-    return base_model(params, measurement_on=segment.measurement_on)
+    return base_model(params, measurement_on=segment.kind in MEASURED_KINDS)
 
 
 @dataclass(frozen=True)
@@ -94,21 +94,16 @@ class Ensemble:
 
 @dataclass(frozen=True, eq=False)
 class _SegmentPlan:
-    """A kick (``f`` is None) adding ``kick_dp`` to P, or ``n_steps`` steps
-    x -> F x + L w; ``w_at``/``v_at`` locate its process and record normals
-    in the trial's draws, None where it has no diffusion or no detection."""
+    """One simulated segment: add ``kick_dp`` to P unless it is None, then
+    take ``n_steps`` steps x -> F x + L w, recording where ``sqrt_k`` > 0."""
 
     t_begin: float
-    kick_dp: float = 0.0
-    n_steps: int = 0
-    dt: float = 0.0
-    f: np.ndarray | None = None
-    l: np.ndarray | None = None
-    sqrt_k: float = 0.0
-    noise_scale: float = 0.0
-    w_at: int | None = None
-    v_at: int | None = None
-    is_readout: bool = False
+    kick_dp: float | None
+    n_steps: int
+    dt: float
+    f: np.ndarray
+    l: np.ndarray
+    sqrt_k: float
 
 
 def _plan_segments(
@@ -118,17 +113,19 @@ def _plan_segments(
 ) -> tuple[list[_SegmentPlan], int]:
     """Plan the simulated segments in timeline order; returns (plans, draws).
 
+    The readout is the last plan, and a kick rides on the plan after it.
     Each trial draws all of its normals in one call, laid out as 2 for
-    the initial state, then per segment in timeline order first the
-    process normals, then the record normals.  The layout depends only
-    on the schedule, never on data.
+    the initial state, then per plan 2 n process normals, then n record
+    normals where it records.  The layout depends only on the schedule,
+    never on data.
     """
     require_valid(schedule)
     plans: list[_SegmentPlan] = []
     total = 2
+    kick_dp = None
     for t_begin, _, seg in schedule.boundaries():
         if seg.kind == "kick":
-            plans.append(_SegmentPlan(t_begin, kick_dp=seg.kick_dp))
+            kick_dp = seg.kick_dp
             continue
         if seg.kind == "feedback_hold" or seg.duration_s == 0.0:
             continue
@@ -137,18 +134,10 @@ def _plan_segments(
         n_steps = max(1, math.ceil(seg.duration_s / target - 1e-9))
         dt = seg.duration_s / n_steps
         f, qd = transition(model, dt)
-        w_at = v_at = None
-        if model.diffusion_p > 0.0:
-            w_at, total = total, total + 2 * n_steps
-        if model.meas_rate > 0.0:
-            v_at, total = total, total + n_steps
-        plans.append(
-            _SegmentPlan(
-                t_begin, n_steps=n_steps, dt=dt, f=f, l=_kernels.chol2x2(qd),
-                sqrt_k=math.sqrt(model.meas_rate), noise_scale=1.0 / math.sqrt(dt),
-                w_at=w_at, v_at=v_at, is_readout=seg.kind == "readout",
-            )
-        )
+        sqrt_k = math.sqrt(model.meas_rate)
+        total += (3 if sqrt_k > 0.0 else 2) * n_steps
+        plans.append(_SegmentPlan(t_begin, kick_dp, n_steps, dt, f, _kernels.chol2x2(qd), sqrt_k))
+        kick_dp = None
     return plans, total
 
 
@@ -168,27 +157,24 @@ def _simulate_chunk(start, stop, plans, total, master_seed, init_std):
         np.random.default_rng([master_seed, start + i]).standard_normal(out=z[i])
 
     x = init_std * z[:, :2]
-    truths = None
+    at = 2
     records = []
     for plan in plans:
-        if plan.f is None:
+        if plan.kick_dp is not None:
             x[:, 1] += plan.kick_dp
-            continue
-        if plan.is_readout:
+        if plan is plans[-1]:
             truths = x.copy()
         n = plan.n_steps
-        if plan.w_at is None:
-            w = np.broadcast_to(0.0, (m, n, 2))
-        else:
-            w = z[:, plan.w_at:plan.w_at + 2 * n].reshape(m, n, 2)
-        if plan.v_at is None:
-            x = _kernels.roll(x, plan.f, plan.l, w)
-        else:
+        w = z[:, at:at + 2 * n].reshape(m, n, 2)
+        at += 2 * n
+        if plan.sqrt_k > 0.0:
             x, y = _kernels.roll_record(
-                x, plan.f, plan.l, w, z[:, plan.v_at:plan.v_at + n], plan.sqrt_k,
-                plan.noise_scale,
+                x, plan.f, plan.l, w, z[:, at:at + n], plan.sqrt_k, 1.0 / math.sqrt(plan.dt)
             )
+            at += n
             records.append((plan, y))
+        else:
+            x = _kernels.roll(x, plan.f, plan.l, w)
     return truths, records
 
 

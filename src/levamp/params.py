@@ -19,18 +19,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 
-@dataclass(frozen=True, slots=True)
-class UnitContext:
-    """Physical constants and conventions used for all conversions."""
-
-    hbar: float = 1.054571817e-34  # J s
-    ev_c_momentum: float = 5.344286e-28  # kg m/s per eV/c
-    db_convention: str = "ten-log-ratio"  # dB = 10 log10(amplitude ratio)
-
-
-UNITS = UnitContext()
-HBAR = UNITS.hbar
-EV_C_MOMENTUM = UNITS.ev_c_momentum
+HBAR = 1.054571817e-34  # J s
+EV_C_MOMENTUM = 5.344286e-28  # kg m/s per eV/c
 
 # A pulse longer than this no longer looks impulsive on the oscillator
 # timescale; the simulation still treats it as a delta kick, so warn.

@@ -17,9 +17,13 @@ frequency and r the squeeze ratio:
 The kick sits exactly at maximum momentum squeezing, so the transferred
 momentum re-emerges at t_zero as a position displacement r times larger.
 
+A segment's kind decides what runs during it: the feedback hold
+measures with feedback on, the free base and readout segments measure
+without it, and soft and kick segments do neither.
+
 Schedules are pure data.  Builders produce valid timelines; `validate`
-audits arbitrary ones and reports violations instead of raising, so
-hand-constructed schedules can be inspected.
+audits the order and timing of arbitrary ones and reports violations
+instead of raising, so hand-constructed schedules can be inspected.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from typing import ClassVar
 from .params import OscillatorParams, impulse_from_pulse
 
 SEGMENT_KINDS = ("feedback_hold", "free_base", "soft", "kick", "readout")
+MEASURED_KINDS = ("feedback_hold", "free_base", "readout")
 
 DEFAULT_RELEASE_LEAD_S = 3.6e-6
 DEFAULT_READOUT_PERIODS = 5.0
@@ -45,18 +50,14 @@ class Segment:
     """One constant-parameter stretch of the protocol.
 
     kick segments are zero-duration momentum displacements; every
-    other kind has ``kick_dp`` = 0.  Builders additionally keep soft
-    segments fully gated off (no measurement, no feedback); that
-    protocol-level invariant is audited by :func:`validate` rather
-    than enforced here, so malformed schedules remain representable
-    for inspection.
+    other kind has ``kick_dp`` = 0.  The kind alone decides detection
+    (the kinds in ``MEASURED_KINDS``) and feedback (the feedback hold
+    only).
     """
 
     kind: str
     duration_s: float
     freq_ratio: float = 1.0
-    measurement_on: bool = False
-    feedback_on: bool = False
     kick_dp: float = 0.0
 
     def __post_init__(self) -> None:
@@ -162,8 +163,7 @@ def _default_readout(params: OscillatorParams, readout_duration: float | None) -
 
 
 def _hold_segment(params: OscillatorParams) -> Segment:
-    duration = FEEDBACK_HOLD_TIME_CONSTANTS / params.gamma_fb
-    return Segment("feedback_hold", duration, measurement_on=True, feedback_on=True)
+    return Segment("feedback_hold", FEEDBACK_HOLD_TIME_CONSTANTS / params.gamma_fb)
 
 
 def build_conventional(
@@ -184,9 +184,9 @@ def build_conventional(
     dp = impulse_from_pulse(params, params.pulse_voltage_v, tau)
     segments = (
         _hold_segment(params),
-        Segment("free_base", float(release_lead), measurement_on=True),
+        Segment("free_base", float(release_lead)),
         Segment("kick", 0.0, kick_dp=dp),
-        Segment("readout", readout_duration, measurement_on=True),
+        Segment("readout", readout_duration),
     )
     return ProtocolSchedule(segments, tau_s=float(tau))
 
@@ -215,7 +215,7 @@ def build_amplified(
         soft,
         Segment("kick", 0.0, kick_dp=dp),
         soft,
-        Segment("readout", readout_duration, measurement_on=True),
+        Segment("readout", readout_duration),
     )
     return ProtocolSchedule(segments, tau_s=float(tau))
 
@@ -236,9 +236,8 @@ def validate(schedule: ProtocolSchedule) -> list[str]:
     """Audit a schedule; returns a list of violations, empty when ok.
 
     Checks the segment list alone: exactly one zero-duration kick and
-    one readout, the readout last, measuring without feedback for a
-    positive duration (the model retrodiction assumes), soft segments
-    gated off, every other segment at the base frequency, and, for an
+    one readout, the readout last and of positive duration, every
+    segment but the soft ones at the base frequency, and, for an
     amplified sequence, that the kick segment begins at the midpoint of
     the soft span (maximum squeezing).  Never raises.
     """
@@ -253,8 +252,6 @@ def validate(schedule: ProtocolSchedule) -> list[str]:
             violations.append("kick segment must have zero duration")
 
     for seg in segments:
-        if seg.kind == "soft" and (seg.measurement_on or seg.feedback_on):
-            violations.append("soft segment has measurement or feedback enabled")
         if seg.kind != "soft" and seg.freq_ratio != 1.0:
             violations.append(f"{seg.kind} segment must run at the base frequency")
 
@@ -264,9 +261,8 @@ def validate(schedule: ProtocolSchedule) -> list[str]:
         return violations
     if segments[-1].kind != "readout":
         violations.append("readout must be the last segment")
-    readout = readouts[0]
-    if not (readout.duration_s > 0.0 and readout.measurement_on and not readout.feedback_on):
-        violations.append("readout must measure, without feedback, for a positive duration")
+    if not readouts[0].duration_s > 0.0:
+        violations.append("readout must have a positive duration")
 
     soft_bounds = [(t0, t1) for t0, t1, s in schedule.boundaries() if s.kind == "soft"]
     if soft_bounds and kicks:
@@ -291,8 +287,8 @@ def schedule_to_json(schedule: ProtocolSchedule, indent: int | None = 2) -> str:
             "kind": seg.kind,
             "duration_s": seg.duration_s,
             "freq_ratio": seg.freq_ratio,
-            "meas": seg.measurement_on,
-            "fb": seg.feedback_on,
+            "meas": seg.kind in MEASURED_KINDS,
+            "fb": seg.kind == "feedback_hold",
             "kick_dp": seg.kick_dp,
         }
         for seg in schedule.segments

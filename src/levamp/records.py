@@ -85,9 +85,6 @@ class MeasurementRecord:
         """Sample timestamps ``t0 + k * dt``."""
         return self.t0 + self.dt * np.arange(self.samples.size)
 
-    def all_gated_on(self) -> bool:
-        return bool(np.all(self.gate))
-
 
 def write_record_csv(record: MeasurementRecord, path) -> None:
     """Write a record as CSV with mandatory header ``t_s, y, gate``.

@@ -56,14 +56,6 @@ class GaussianState:
         object.__setattr__(self, "mean", _as_mean(self.mean))
         object.__setattr__(self, "cov", _as_cov(self.cov))
 
-    @property
-    def q(self) -> float:
-        return float(self.mean[0])
-
-    @property
-    def p(self) -> float:
-        return float(self.mean[1])
-
 
 def thermal_state(n: float) -> GaussianState:
     """Zero-mean thermal state of occupation n: V = (2n + 1) I."""

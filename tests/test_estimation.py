@@ -454,12 +454,13 @@ def test_trial_outcome_requires_a_valid_schedule_and_a_readout_record():
 
     sched = build_conventional(PARAMS, 1000e-9)
     amp = build_amplified(PARAMS, R12, 100e-9)
-    segments = list(amp.segments)
-    segments[1] = dataclasses.replace(segments[1], measurement_on=True)
-    gated_soft = dataclasses.replace(amp, segments=tuple(segments))
+    hold, soft, kick, _, readout = amp.segments
+    early = dataclasses.replace(soft, duration_s=0.5 * soft.duration_s)
+    late = dataclasses.replace(soft, duration_s=1.5 * soft.duration_s)
+    off_centre = dataclasses.replace(amp, segments=(hold, early, kick, late, readout))
     rec = make_readout_record([0.0, 12.0])
-    with pytest.raises(ValueError, match="invalid schedule: soft segment has measurement"):
-        estimate_trial_outcome(rec, MODEL, gated_soft)
+    with pytest.raises(ValueError, match="invalid schedule: kick not at maximum squeezing"):
+        estimate_trial_outcome(rec, MODEL, off_centre)
     pre_only = MeasurementRecord(
         -6.0 * PERIOD, DT, np.zeros(400), np.ones(400, dtype=bool)
     )

@@ -139,7 +139,7 @@ def test_ensemble_estimation_covariance_matches_the_schedule():
     ens = run_ensemble(AMP, PARAMS, 10, 9, workers=1)
     n = round(AMP.readout_duration / (PERIOD / 200.0))
     _, cov_target = retrodiction_schedule(MODEL, PERIOD / 200.0, n)
-    assert np.allclose(ens.est_cov, cov_target, atol=1e-12)
+    assert np.allclose(ens.est_cov, cov_target, rtol=0.0, atol=1e-12)
 
 
 def test_run_ensemble_rejects_bad_arguments():
@@ -197,33 +197,34 @@ def test_noiseless_protocol_map(r, dp, q0, p0):
     sched = build_amplified(PARAMS, r, tau)
     state = GaussianState(np.array([q0, p0]), 3.4 * np.eye(2))
     out = run_schedule_noiseless(sched, PARAMS, state)
-    assert np.allclose(out.mean, [-q0 + r * dp, -p0], atol=1e-9)
-    assert np.allclose(out.cov, state.cov, atol=1e-9)
+    assert np.allclose(out.mean, [-q0 + r * dp, -p0], rtol=0.0, atol=1e-9)
+    assert np.allclose(out.cov, state.cov, rtol=0.0, atol=1e-9)
 
 
 def test_noiseless_conventional_map_is_just_the_kick():
     out = run_schedule_noiseless(CONV, PARAMS, thermal_state(1.2))
-    assert np.allclose(out.mean, [0.0, 12.0], atol=1e-12)
-    assert np.allclose(out.cov, thermal_state(1.2).cov, atol=1e-9)
+    assert np.allclose(out.mean, [0.0, 12.0], rtol=0.0, atol=1e-12)
+    assert np.allclose(out.cov, thermal_state(1.2).cov, rtol=0.0, atol=1e-9)
 
 
 def test_noiseless_readout_rotation_is_periodic():
     at_zero = run_schedule_noiseless(AMP, PARAMS, thermal_state(0.0))
     full = propagate(at_zero, MODEL.noiseless(), AMP.readout_duration)
-    assert np.allclose(full.mean, at_zero.mean, atol=1e-9)
-    assert np.allclose(full.cov, at_zero.cov, atol=1e-9)
+    assert np.allclose(full.mean, at_zero.mean, rtol=0.0, atol=1e-9)
+    assert np.allclose(full.cov, at_zero.cov, rtol=0.0, atol=1e-9)
 
 
 def test_model_for_segment_gates_and_rates():
     with pytest.raises(ValueError, match="feedback_hold segment has no dynamics model"):
-        model_for_segment(PARAMS, Segment("feedback_hold", 1e-3, 1.0, True, True))
+        model_for_segment(PARAMS, Segment("feedback_hold", 1e-3))
     soft = model_for_segment(PARAMS, Segment("soft", 1e-5, 0.5))
     assert soft.meas_rate == 0.0
     assert soft.diffusion_p == pytest.approx(PARAMS.gamma_qb)
-    readout = model_for_segment(PARAMS, Segment("readout", 1e-4, 1.0, True, False))
+    readout = model_for_segment(PARAMS, Segment("readout", 1e-4))
     assert readout.meas_rate == pytest.approx(4.0 * PARAMS.eta * PARAMS.gamma_qb)
     assert readout.diffusion_p == pytest.approx(4.0 * PARAMS.gamma_qb)
     assert readout == base_model(PARAMS) == MODEL
+    assert model_for_segment(PARAMS, Segment("free_base", 1e-6)) == MODEL
 
 
 def test_model_for_segment_rejects_a_softened_non_soft_segment():
@@ -319,7 +320,7 @@ def test_displacement_fit_recovers_an_exact_slope():
     fit = fit_displacement_vs_tau(ensembles)
     assert fit.r == 2.0
     assert fit.k == pytest.approx(k_true, rel=1e-12)
-    assert np.allclose(sorted(fit.taus), taus)
+    assert np.allclose(sorted(fit.taus), taus, rtol=0.0)
 
 
 def test_displacement_fit_input_checks():

@@ -35,16 +35,16 @@ def test_chol2x2_factors_random_spd_matrices():
         q = a @ a.T + 0.1 * np.eye(2)
         c = chol2x2(q)
         assert c[0, 1] == 0.0
-        assert np.allclose(c @ c.T, q, atol=1e-12)
-        assert np.allclose(c, np.linalg.cholesky(q), atol=1e-12)
+        assert np.allclose(c @ c.T, q, rtol=0.0, atol=1e-12)
+        assert np.allclose(c, np.linalg.cholesky(q), rtol=0.0, atol=1e-12)
 
 
 def test_chol2x2_handles_semidefinite_corners():
     assert np.array_equal(chol2x2(np.zeros((2, 2))), np.zeros((2, 2)))
     c = chol2x2(np.diag([0.0, 4.0]))
-    assert np.allclose(c, [[0.0, 0.0], [0.0, 2.0]])
+    assert np.allclose(c, [[0.0, 0.0], [0.0, 2.0]], rtol=0.0)
     c = chol2x2(np.diag([9.0, 0.0]))
-    assert np.allclose(c, [[3.0, 0.0], [0.0, 0.0]])
+    assert np.allclose(c, [[3.0, 0.0], [0.0, 0.0]], rtol=0.0)
 
 
 def test_roll_matches_per_trial_recursion():
@@ -53,7 +53,7 @@ def test_roll_matches_per_trial_recursion():
         x = X0[i].copy()
         for k in range(N):
             x = F_STEP @ x + L_STEP @ W[i, k]
-        assert np.allclose(out[i], x, atol=1e-12)
+        assert np.allclose(out[i], x, rtol=0.0, atol=1e-12)
 
 
 def test_roll_record_reads_state_before_each_step():
@@ -65,7 +65,7 @@ def test_roll_record_reads_state_before_each_step():
             SQRT_K * x[0] + NOISE_SCALE * V[i, k], abs=1e-12
         )
         x = F_STEP @ x + L_STEP @ W[i, k]
-    assert np.allclose(out[i], x, atol=1e-12)
+    assert np.allclose(out[i], x, rtol=0.0, atol=1e-12)
 
 
 def _per_step(x, f, l, w, v, sqrt_k, noise_scale):

@@ -57,7 +57,6 @@ def test_soft_segments_span_a_quarter_of_the_local_period(r, quarter_s):
     for seg in softs:
         assert seg.duration_s == pytest.approx(quarter_s, rel=1e-12)
         assert seg.freq_ratio == pytest.approx(1.0 / r, rel=1e-12)
-        assert not seg.measurement_on and not seg.feedback_on
 
 
 def test_soft_span_approaches_half_a_base_period_near_unity():
@@ -74,7 +73,6 @@ def test_feedback_hold_spans_twenty_damping_times():
             FEEDBACK_HOLD_TIME_CONSTANTS / PARAMS.gamma_fb, rel=1e-12
         )
         assert hold.duration_s == pytest.approx(0.0015915494309189536, rel=1e-12)
-        assert hold.measurement_on and hold.feedback_on
 
 
 def test_conventional_release_lead():
@@ -82,7 +80,6 @@ def test_conventional_release_lead():
     assert lead.kind == "free_base"
     assert lead.duration_s == DEFAULT_RELEASE_LEAD_S
     assert lead.duration_s * PARAMS.freq_hz == pytest.approx(0.1872, rel=1e-12)
-    assert lead.measurement_on and not lead.feedback_on
 
 
 def test_kick_sizes_track_the_pulse():
@@ -205,13 +202,6 @@ def test_validate_flags_a_displaced_kick():
     assert validate(off_centre_kick(AMP, 1.0, 1.0)) == []
 
 
-def test_validate_flags_gated_soft_segments():
-    bad = replace_segment(AMP, 1, measurement_on=True)
-    assert any("soft segment has measurement" in v for v in validate(bad))
-    bad = replace_segment(AMP, 3, feedback_on=True)
-    assert any("soft segment has measurement" in v for v in validate(bad))
-
-
 def test_validate_flags_off_frequency_segments():
     bad = replace_segment(CONV, 1, freq_ratio=0.5)
     assert any("base frequency" in v for v in validate(bad))
@@ -233,14 +223,12 @@ def test_validate_requires_one_readout():
 
 
 def test_validate_flags_a_broken_timeline():
-    """Nothing may follow the readout, and the readout must be the record
-    that retrodiction models: detection on, feedback off, not empty."""
-    late = Segment(kind="free_base", duration_s=1e-6, measurement_on=True)
+    """Nothing may follow the readout, and the readout must not be empty."""
+    late = Segment(kind="free_base", duration_s=1e-6)
     bad = dataclasses.replace(CONV, segments=CONV.segments + (late,))
     assert validate(bad) == ["readout must be the last segment"]
-    for change in ({"duration_s": 0.0}, {"measurement_on": False}, {"feedback_on": True}):
-        bad = replace_segment(CONV, 3, **change)
-        assert validate(bad) == ["readout must measure, without feedback, for a positive duration"]
+    bad = replace_segment(CONV, 3, duration_s=0.0)
+    assert validate(bad) == ["readout must have a positive duration"]
 
 
 def test_segment_validation():
@@ -251,19 +239,29 @@ def test_segment_validation():
     with pytest.raises(ValueError):
         Segment(kind="soft", duration_s=1e-6, freq_ratio=1.5)
     with pytest.raises(ValueError, match="kick_dp must be zero"):
-        Segment(kind="readout", duration_s=1e-4, measurement_on=True, kick_dp=1.0)
+        Segment(kind="readout", duration_s=1e-4, kick_dp=1.0)
+
+
+# (meas, fb) that schedule.json writes for each kind.
+GATES = {
+    "feedback_hold": (True, True),
+    "free_base": (True, False),
+    "soft": (False, False),
+    "kick": (False, False),
+    "readout": (True, False),
+}
 
 
 def test_schedule_json_lists_every_segment():
-    payload = json.loads(schedule_to_json(AMP))
-    assert len(payload) == len(AMP.segments)
-    for entry, seg in zip(payload, AMP.segments):
-        assert entry["kind"] == seg.kind
-        assert entry["duration_s"] == pytest.approx(seg.duration_s, rel=1e-15)
-        assert entry["freq_ratio"] == pytest.approx(seg.freq_ratio, rel=1e-15)
-        assert entry["meas"] == seg.measurement_on
-        assert entry["fb"] == seg.feedback_on
-        assert entry["kick_dp"] == pytest.approx(seg.kick_dp, rel=1e-15)
+    for schedule in (AMP, CONV):
+        payload = json.loads(schedule_to_json(schedule))
+        assert len(payload) == len(schedule.segments)
+        for entry, seg in zip(payload, schedule.segments):
+            assert entry["kind"] == seg.kind
+            assert entry["duration_s"] == pytest.approx(seg.duration_s, rel=1e-15)
+            assert entry["freq_ratio"] == pytest.approx(seg.freq_ratio, rel=1e-15)
+            assert (entry["meas"], entry["fb"]) == GATES[seg.kind]
+            assert entry["kick_dp"] == pytest.approx(seg.kick_dp, rel=1e-15)
 
 
 DURATIONS = st.floats(0.0, 1e-2)
@@ -277,8 +275,6 @@ def any_segment(draw, durations=st.floats(0.0, 1e300)):
         kind=kind,
         duration_s=draw(durations),
         freq_ratio=draw(st.one_of(st.just(1.0), st.floats(1e-3, 1.0))),
-        measurement_on=draw(st.booleans()),
-        feedback_on=draw(st.booleans()),
         kick_dp=draw(st.floats(-1e3, 1e3)) if kind == "kick" else 0.0,
     )
 
@@ -292,7 +288,7 @@ def segment_lists(draw):
         return draw(st.lists(any_segment(), max_size=7))
     segments = []
     if draw(st.booleans()):
-        segments.append(Segment("feedback_hold", draw(DURATIONS), 1.0, True, True))
+        segments.append(Segment("feedback_hold", draw(DURATIONS)))
     kick = Segment("kick", 0.0, kick_dp=draw(st.floats(-1e3, 1e3)))
     if draw(st.booleans()):
         ratio = draw(st.floats(1e-3, 1.0))
@@ -301,7 +297,7 @@ def segment_lists(draw):
         segments += [Segment("soft", before, ratio), kick, Segment("soft", after, ratio)]
     else:
         segments.append(kick)
-    segments.append(Segment("readout", draw(READOUTS), measurement_on=True))
+    segments.append(Segment("readout", draw(READOUTS)))
     if draw(st.booleans()):
         at = draw(st.integers(0, len(segments)))
         segments.insert(at, draw(any_segment(durations=DURATIONS)))
@@ -339,11 +335,11 @@ def test_equal_soft_halves_around_the_kick_validate_clean(hold, quarter, ratio, 
     soft = Segment("soft", quarter, ratio)
     schedule = ProtocolSchedule(
         (
-            Segment("feedback_hold", hold, 1.0, True, True),
+            Segment("feedback_hold", hold),
             soft,
             Segment("kick", 0.0, kick_dp=1.0),
             soft,
-            Segment("readout", readout, measurement_on=True),
+            Segment("readout", readout),
         )
     )
     assert validate(schedule) == []

@@ -29,10 +29,10 @@ PERIODS = [1 / 2000, 1 / 200, 1 / 50, 1 / 4, 1 / 2, 1.0, 2.7, 10.0]
 
 def van_loan(model, dt):
     """(F, Qd) from one 4x4 block exponential (Van Loan, IEEE TAC 23, 395 (1978))."""
-    a = model.drift_matrix()
+    a = np.array([[0.0, model.omega], [-model.omega * model.freq_ratio**2, 0.0]])
     block = np.zeros((4, 4))
     block[:2, :2] = -a * dt
-    block[:2, 2:] = model.diffusion_matrix() * dt
+    block[:2, 2:] = np.diag([0.0, model.diffusion_p]) * dt
     block[2:, 2:] = a.T * dt
     phi = expm(block)
     f = phi[2:, 2:].T
