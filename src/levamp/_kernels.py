@@ -22,28 +22,41 @@ import math
 import numpy as np
 
 # Steps per scan block.  64 to 512 time the same; the scan's scratch is
-# 3 m BLOCK doubles, so the smallest keeps a 256-trial chunk's at 0.4 MiB.
+# 4 m BLOCK doubles, so the smallest keeps a 256-trial batch's at 0.5 MiB.
 BLOCK = 64
 
 
 def chol2x2(q: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric PSD 2x2 matrix.
+    """Lower Cholesky factor of a symmetric positive definite 2x2 matrix.
 
-    Tolerates exact zeros (noiseless segments) where
-    ``numpy.linalg.cholesky`` would reject the singular matrix.
+    Raises ValueError on a non-finite entry or a pivot that is not
+    positive, rather than return a factor that silently drops a noise
+    axis.
     """
     q00 = float(q[0, 0])
     q10 = float(q[1, 0])
     q11 = float(q[1, 1])
-    l00 = math.sqrt(q00) if q00 > 0.0 else 0.0
-    l10 = q10 / l00 if l00 > 0.0 else 0.0
+    if not (math.isfinite(q00) and math.isfinite(q10) and math.isfinite(q11)):
+        raise ValueError(f"chol2x2 needs finite entries, got {q.tolist()}")
+    if not q00 > 0.0:
+        raise ValueError(f"chol2x2 needs a positive definite matrix, first pivot {q00!r}")
+    l00 = math.sqrt(q00)
+    l10 = q10 / l00
     l11_sq = q11 - l10 * l10
-    l11 = math.sqrt(l11_sq) if l11_sq > 0.0 else 0.0
-    return np.array([[l00, 0.0], [l10, l11]])
+    if not l11_sq > 0.0:
+        raise ValueError(f"chol2x2 needs a positive definite matrix, second pivot {l11_sq!r}")
+    return np.array([[l00, 0.0], [l10, math.sqrt(l11_sq)]])
 
 
-def _powers(f: np.ndarray, l: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """F^j for j = 0..b and F^-(j+1) L for j = 0..b-1, built by doubling."""
+def powers(f: np.ndarray, l: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block powers of the recursion x -> F x + L w for a scan of n >= 1 steps.
+
+    Returns ``fwd``, F^j for j = 0..b, (b+1, 2, 2), and ``g``, (2, b, 2)
+    with g[c, j] row c of F^-(j+1) L, where b = min(n, BLOCK) is the
+    scan's block length.  Built by doubling; compute them once per
+    (F, L, n) and pass them to every :func:`roll` or :func:`roll_record`.
+    """
+    b = min(n, BLOCK)
     fwd = np.empty((b + 1, 2, 2))
     back = np.empty((b + 1, 2, 2))
     fwd[0] = back[0] = np.eye(2)
@@ -54,13 +67,15 @@ def _powers(f: np.ndarray, l: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarra
         fwd[k + 1:hi + 1] = fwd[k] @ fwd[1:hi - k + 1]
         back[k + 1:hi + 1] = back[k] @ back[1:hi - k + 1]
         k = hi
-    return fwd, back[1:] @ l
+    return fwd, np.ascontiguousarray((back[1:] @ l).transpose(1, 0, 2))
 
 
-def _scan(x, f, l, w, record=None):
-    """Evolve x_{k+1} = F x_k + L w_k for every trial, BLOCK steps at a time.
+def _scan(x, fwd, g, w, record=None):
+    """Evolve x_{k+1} = F x_k + L w_k for every trial, one block at a time.
 
-    Within a block starting at step k0, in the frame of F^-j,
+    ``fwd`` and ``g`` come from :func:`powers`; the block length b is
+    g's second axis.  Within a block starting at step k0, in the frame
+    of F^-j,
 
         x_{k0+j} = F^j (x_{k0} + sum_{i<j} F^-(i+1) L w_{k0+i}),
 
@@ -75,23 +90,24 @@ def _scan(x, f, l, w, record=None):
     m, n = w.shape[0], w.shape[1]
     if n == 0:
         return x.copy()
-    b = min(n, BLOCK)
-    fwd, g = _powers(f, l, b)
+    b = g.shape[1]
     if record is not None:
         y, v, sqrt_k, noise_scale = record
-        q_row = sqrt_k * fwd[:, 0, :]
+        q0, q1 = sqrt_k * fwd[:, 0, 0], sqrt_k * fwd[:, 0, 1]
     # s[c, :, j] is component c of x_{k0} + sum_{i<j} F^-(i+1) L w_{k0+i}.
     s = np.empty((2, m, b + 1))
-    tmp = np.empty((m, b))
+    wg = np.empty((m, b, 2))
+    tmp = wg.reshape(m, 2 * b)  # the record's scratch, once wg is summed into s
     for k0 in range(0, n, b):
         nb = min(b, n - k0)
         steps = slice(k0, k0 + nb)
         sb = s[:, :, :nb + 1]
         t = tmp[:, :nb]
+        lanes = wg[:, :nb]
         sb[:, :, 0] = x.T
         for c in (0, 1):
-            u = np.multiply(w[:, steps, 0], g[:nb, c, 0], out=sb[c, :, 1:])
-            u += np.multiply(w[:, steps, 1], g[:nb, c, 1], out=t)
+            np.multiply(w[:, steps], g[c, :nb], out=lanes)
+            np.add(lanes[:, :, 0], lanes[:, :, 1], out=sb[c, :, 1:])
         np.cumsum(sb, axis=2, out=sb)
         p = fwd[nb]
         x = np.stack(
@@ -100,24 +116,25 @@ def _scan(x, f, l, w, record=None):
             axis=1,
         )
         if record is not None:
-            out = np.multiply(sb[0, :, :nb], q_row[:nb, 0], out=y[:, steps])
-            out += np.multiply(sb[1, :, :nb], q_row[:nb, 1], out=t)
+            out = np.multiply(sb[0, :, :nb], q0[:nb], out=y[:, steps])
+            out += np.multiply(sb[1, :, :nb], q1[:nb], out=t)
             out += np.multiply(v[:, steps], noise_scale, out=t)
     return x
 
 
-def roll(x: np.ndarray, f: np.ndarray, l: np.ndarray, w: np.ndarray) -> np.ndarray:
+def roll(x: np.ndarray, fwd: np.ndarray, g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Evolve x_{k+1} = F x_k + L w_k for every trial.
 
-    x: (m, 2) states, w: (m, n, 2) standard normals for n steps.
+    x: (m, 2) states, (fwd, g): :func:`powers` of (F, L), w: (m, n, 2)
+    standard normals for n steps.
     """
-    return _scan(x, f, l, w)
+    return _scan(x, fwd, g, w)
 
 
 def roll_record(
     x: np.ndarray,
-    f: np.ndarray,
-    l: np.ndarray,
+    fwd: np.ndarray,
+    g: np.ndarray,
     w: np.ndarray,
     v: np.ndarray,
     sqrt_k: float,
@@ -130,7 +147,7 @@ def roll_record(
     Returns (final states (m, 2), record (m, n)).
     """
     y = np.empty(v.shape)
-    return _scan(x, f, l, w, (y, v, sqrt_k, noise_scale)), y
+    return _scan(x, fwd, g, w, (y, v, sqrt_k, noise_scale)), y
 
 
 def filter_backward(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -139,6 +156,6 @@ def filter_backward(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     y: (m, n) records in forward time order; weights: (n, 2) from
     :func:`levamp.estimation.retrodiction_schedule`.  einsum sums each
     row over n in the same order for any batch size, without BLAS, so
-    chunking and thread count never change a bit.
+    batching and thread count never change a bit.
     """
     return np.einsum("mn,nk->mk", y, weights)

@@ -30,8 +30,9 @@ from .protocol import FEEDBACK_HOLD_TIME_CONSTANTS, build_for_ratio
 # extrapolate.
 R_MAX = 6.0
 
-# Normal draws one trial may plan: a 256-trial chunk then holds at most
-# 2.05 GB of them.  The presets plan about 3200, the selftest about 7400.
+# Normal draws one trial may plan: 8 MB of them, so a worker's batch
+# (harness.BATCH_BYTES) then holds a single trial.  The presets plan
+# about 3200, the selftest about 7400.
 MAX_DRAWS_PER_TRIAL = 1_000_000
 
 class ConfigError(ValueError):

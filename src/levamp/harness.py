@@ -10,9 +10,11 @@ impulse, and their standard errors.
 
 Determinism contract: trial i of a run draws all of its randomness
 from ``numpy.random.default_rng([master_seed, i])`` in a fixed order
-set by the schedule alone.  Trials are batched into fixed-size chunks
-for the kernels and the reduction is an ordered write by trial index,
-so results are bit-identical for any worker count.
+set by the schedule alone.  A worker thread takes CHUNK trials at a
+time and runs them in batches whose draws and readout records fit in
+BATCH_BYTES, one batch in memory per thread; the kernels give a trial
+the same bits in any batch and the reduction is an ordered write by
+trial index, so results are bit-identical for any worker count.
 
 The per-trial noise sources and their budget: the thermal preparation
 contributes variance 2 n + 1 to the amplified position, the finite
@@ -38,7 +40,10 @@ from .protocol import MEASURED_KINDS, ProtocolSchedule, Segment, build_for_ratio
 from .records import MeasurementRecord
 from .state import GaussianState, apply_impulse
 
+# Trials per thread task, and the bytes a batch of them may hold in
+# normal draws and readout records (a trial past it runs alone).
 CHUNK = 256
+BATCH_BYTES = 8 << 20
 DEFAULT_DT_PER_PERIOD = 200
 DEFAULT_WORKERS = os.cpu_count() or 1
 MIN_STATS_TRIALS = 10
@@ -95,14 +100,15 @@ class Ensemble:
 @dataclass(frozen=True, eq=False)
 class _SegmentPlan:
     """One simulated segment: add ``kick_dp`` to P unless it is None, then
-    take ``n_steps`` steps x -> F x + L w, recording where ``sqrt_k`` > 0."""
+    take ``n_steps`` steps x -> F x + L w, recording where ``sqrt_k`` > 0.
+    ``fwd`` and ``g`` are ``_kernels.powers(F, L, n_steps)``."""
 
     t_begin: float
     kick_dp: float | None
     n_steps: int
     dt: float
-    f: np.ndarray
-    l: np.ndarray
+    fwd: np.ndarray
+    g: np.ndarray
     sqrt_k: float
 
 
@@ -136,7 +142,8 @@ def _plan_segments(
         f, qd = transition(model, dt)
         sqrt_k = math.sqrt(model.meas_rate)
         total += (3 if sqrt_k > 0.0 else 2) * n_steps
-        plans.append(_SegmentPlan(t_begin, kick_dp, n_steps, dt, f, _kernels.chol2x2(qd), sqrt_k))
+        fwd, g = _kernels.powers(f, _kernels.chol2x2(qd), n_steps)
+        plans.append(_SegmentPlan(t_begin, kick_dp, n_steps, dt, fwd, g, sqrt_k))
         kick_dp = None
     return plans, total
 
@@ -145,7 +152,7 @@ def _trial_init_std(params: OscillatorParams) -> float:
     return math.sqrt(2.0 * params.n_init + 1.0)
 
 
-def _simulate_chunk(start, stop, plans, total, master_seed, init_std):
+def _simulate_batch(start, stop, plans, total, master_seed, init_std):
     """Simulate trials [start, stop), each drawing ``total`` normals.
 
     Returns the true states at t_zero, (m, 2), and one (plan, records)
@@ -169,12 +176,12 @@ def _simulate_chunk(start, stop, plans, total, master_seed, init_std):
         at += 2 * n
         if plan.sqrt_k > 0.0:
             x, y = _kernels.roll_record(
-                x, plan.f, plan.l, w, z[:, at:at + n], plan.sqrt_k, 1.0 / math.sqrt(plan.dt)
+                x, plan.fwd, plan.g, w, z[:, at:at + n], plan.sqrt_k, 1.0 / math.sqrt(plan.dt)
             )
             at += n
             records.append((plan, y))
         else:
-            x = _kernels.roll(x, plan.f, plan.l, w)
+            x = _kernels.roll(x, plan.fwd, plan.g, w)
     return truths, records
 
 
@@ -191,6 +198,8 @@ def run_ensemble(
 
     Each trial starts from the thermal preparation at the end of the
     feedback hold.  The result is bit-identical for any ``workers`` value.
+    Each thread holds one batch at a time: at most BATCH_BYTES of draws
+    and readout record, or one trial where a trial needs more.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -199,24 +208,32 @@ def run_ensemble(
 
     weights, est_cov = retrodiction_schedule(readout_model(params), ro.dt, ro.n_steps)
     init_std = _trial_init_std(params)
+    batch = max(1, BATCH_BYTES // (8 * (total + ro.n_steps)))
 
     outcomes = np.empty((n_trials, 2))
     truths = np.empty((n_trials, 2))
 
-    def work(start: int) -> None:
-        stop = min(start + CHUNK, n_trials)
-        chunk_truths, records = _simulate_chunk(start, stop, plans, total, master_seed, init_std)
+    def run_batch(start: int, stop: int) -> None:
+        # A function of its own, so the batch's draws and records are
+        # freed on return, before the next batch draws.
+        batch_truths, records = _simulate_batch(start, stop, plans, total, master_seed, init_std)
         est = _kernels.filter_backward(records[-1][1], weights)
-        bad = np.flatnonzero(~np.isfinite(np.hstack([est, chunk_truths])).all(axis=1))
+        bad = np.flatnonzero(~np.isfinite(np.hstack([est, batch_truths])).all(axis=1))
         if bad.size:
             raise RuntimeError(
                 f"trial {start + int(bad[0])} produced a non-finite result; ensemble aborted"
             )
         outcomes[start:stop] = est
-        truths[start:stop] = chunk_truths
+        truths[start:stop] = batch_truths
 
-    # The first failing chunk stops the run: pool.map raises in chunk order
-    # and cancels the rest, so every worker count names the same trial.
+    def work(start: int) -> None:
+        stop = min(start + CHUNK, n_trials)
+        for first in range(start, stop, batch):
+            run_batch(first, min(first + batch, stop))
+
+    # The first failing batch stops the run: a chunk runs its batches in
+    # order, and pool.map raises in chunk order and cancels the rest, so
+    # every worker count names the same trial.
     starts = range(0, n_trials, CHUNK)
     if workers is None or workers <= 1 or len(starts) == 1:
         for start in starts:
@@ -253,7 +270,7 @@ def simulate_trial(
     cached retrodiction weights and sums each record row in the same order.
     """
     plans, total = _plan_segments(schedule, params, dt_per_period)
-    truths, records = _simulate_chunk(
+    truths, records = _simulate_batch(
         trial_index, trial_index + 1, plans, total, master_seed, _trial_init_std(params)
     )
     return truths[0], [

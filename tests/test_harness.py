@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,23 +164,66 @@ def test_non_finite_trials_abort_the_run(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_the_first_bad_chunk_stops_the_run(monkeypatch, workers):
     """Trials 300 and 600 go bad; the run names 300 for any worker count
-    and, on one worker, never simulates the chunks after it."""
-    real = harness._simulate_chunk
-    starts = []
+    and, on one worker, simulates nothing past the batch that holds it."""
+    real = harness._simulate_batch
+    spans = []
 
     def poisoned(start, stop, *args):
-        starts.append(start)
+        spans.append((start, stop))
         truths, records = real(start, stop, *args)
         for bad in (300, 600):
             if start <= bad < stop:
                 truths[bad - start, 1] = np.inf
         return truths, records
 
-    monkeypatch.setattr(harness, "_simulate_chunk", poisoned)
+    monkeypatch.setattr(harness, "_simulate_batch", poisoned)
     with pytest.raises(RuntimeError, match=r"^trial 300 produced a non-finite result"):
         run_ensemble(AMP, PARAMS, 4 * harness.CHUNK, 1, workers=workers)
     if workers == 1:
-        assert starts == [0, harness.CHUNK]
+        assert spans[0][0] == 0
+        assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
+        assert spans[-1][0] <= 300 < spans[-1][1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("size", [1, 7])
+def test_batch_size_does_not_change_results(monkeypatch, size, workers):
+    """Batches of 1 and 7 trials, over 300 trials and so across a chunk
+    boundary, give the default run's bits; no batch crosses a chunk."""
+    default = run_ensemble(AMP, PARAMS, 300, 777, workers=1)
+    real = harness._simulate_batch
+    spans = []
+
+    def spy(start, stop, *args):
+        spans.append((start, stop))
+        return real(start, stop, *args)
+
+    plans, total = harness._plan_segments(AMP, PARAMS, harness.DEFAULT_DT_PER_PERIOD)
+    monkeypatch.setattr(harness, "BATCH_BYTES", size * 8 * (total + plans[-1].n_steps))
+    monkeypatch.setattr(harness, "_simulate_batch", spy)
+    small = run_ensemble(AMP, PARAMS, 300, 777, workers=workers)
+    assert np.array_equal(small.outcomes, default.outcomes)
+    assert np.array_equal(small.truths, default.truths)
+    chunk = harness.CHUNK
+    assert sorted(spans) == [
+        (a, min(a + size, c + chunk, 300))
+        for c in range(0, 300, chunk) for a in range(c, min(c + chunk, 300), size)
+    ]
+
+
+def test_a_batch_holds_at_most_its_byte_budget():
+    """A 256-trial, r = sqrt 12, 12-period ensemble on one worker peaks
+    within BATCH_BYTES of draws and records plus 1 MiB of the rest; one
+    chunk held at once would need about 20 MiB."""
+    schedule = build_for_ratio(PARAMS, R12, 0.0, 12.0 * PERIOD)
+    run_ensemble(schedule, PARAMS, 1, 5, workers=1)  # lazy imports and caches, untraced
+    tracemalloc.start()
+    try:
+        run_ensemble(schedule, PARAMS, 256, 5, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= harness.BATCH_BYTES + (1 << 20)
 
 
 @pytest.mark.parametrize(

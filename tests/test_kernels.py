@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from levamp._kernels import BLOCK, chol2x2, filter_backward, roll, roll_record
+from levamp._kernels import BLOCK, chol2x2, filter_backward, powers, roll, roll_record
 from levamp.config import R_MAX
 from levamp.dynamics import base_model, soft_model, transition
 from levamp.estimation import PRIOR_SCALE, readout_model, retrodiction_schedule
@@ -21,6 +21,7 @@ F_STEP = np.array(
     [[math.cos(ANGLE), math.sin(ANGLE)], [-math.sin(ANGLE), math.cos(ANGLE)]]
 )
 L_STEP = chol2x2(np.array([[4e-4, 1e-4], [1e-4, 9e-4]]))
+FWD, G = powers(F_STEP, L_STEP, N)
 X0 = np.ascontiguousarray(RNG.standard_normal((M, 2)))
 W = np.ascontiguousarray(RNG.standard_normal((M, N, 2)))
 V = np.ascontiguousarray(RNG.standard_normal((M, N)))
@@ -39,16 +40,18 @@ def test_chol2x2_factors_random_spd_matrices():
         assert np.allclose(c, np.linalg.cholesky(q), rtol=0.0, atol=1e-12)
 
 
-def test_chol2x2_handles_semidefinite_corners():
-    assert np.array_equal(chol2x2(np.zeros((2, 2))), np.zeros((2, 2)))
-    c = chol2x2(np.diag([0.0, 4.0]))
-    assert np.allclose(c, [[0.0, 0.0], [0.0, 2.0]], rtol=0.0)
-    c = chol2x2(np.diag([9.0, 0.0]))
-    assert np.allclose(c, [[3.0, 0.0], [0.0, 0.0]], rtol=0.0)
+def test_chol2x2_rejects_matrices_that_are_not_positive_definite():
+    """Semidefinite, indefinite and non-finite matrices raise rather than
+    give a factor that freezes a noise axis."""
+    for q in (np.zeros((2, 2)), np.diag([0.0, 4.0]), np.diag([9.0, 0.0]),
+              np.diag([-1.0, 4.0]), np.array([[1.0, 2.0], [2.0, 1.0]]),
+              np.diag([np.nan, 1.0]), np.diag([1.0, np.inf])):
+        with pytest.raises(ValueError, match="chol2x2 needs"):
+            chol2x2(q)
 
 
 def test_roll_matches_per_trial_recursion():
-    out = roll(X0, F_STEP, L_STEP, W)
+    out = roll(X0, FWD, G, W)
     for i in (0, M // 2, M - 1):
         x = X0[i].copy()
         for k in range(N):
@@ -57,7 +60,7 @@ def test_roll_matches_per_trial_recursion():
 
 
 def test_roll_record_reads_state_before_each_step():
-    out, y = roll_record(X0, F_STEP, L_STEP, W, V, SQRT_K, NOISE_SCALE)
+    out, y = roll_record(X0, FWD, G, W, V, SQRT_K, NOISE_SCALE)
     i = 3
     x = X0[i].copy()
     for k in range(N):
@@ -94,22 +97,23 @@ def test_blocked_scan_matches_the_per_step_recursion(name, n):
     model = SCAN_MODELS[name]
     f, qd = transition(model, model.local_period / 200.0)
     l = chol2x2(qd)
+    fwd, g = powers(f, l, n)
     rng = np.random.default_rng(n)
     x0 = rng.standard_normal((6, 2))
     w = rng.standard_normal((6, n, 2))
     v = rng.standard_normal((6, n))
     x_ref, y_ref = _per_step(x0, f, l, w, v, SQRT_K, NOISE_SCALE)
-    x_out, y = roll_record(x0, f, l, w, v, SQRT_K, NOISE_SCALE)
+    x_out, y = roll_record(x0, fwd, g, w, v, SQRT_K, NOISE_SCALE)
     assert np.max(np.abs(x_out - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
     assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
-    assert np.array_equal(roll(x0, f, l, w), x_out)
+    assert np.array_equal(roll(x0, fwd, g, w), x_out)
 
 
 def test_roll_over_zero_steps_returns_a_copy_of_the_state():
-    out = roll(X0, F_STEP, L_STEP, np.empty((M, 0, 2)))
+    out = roll(X0, FWD, G, np.empty((M, 0, 2)))
     assert np.array_equal(out, X0)
     assert out is not X0
-    out, y = roll_record(X0, F_STEP, L_STEP, np.empty((M, 0, 2)), np.empty((M, 0)),
+    out, y = roll_record(X0, FWD, G, np.empty((M, 0, 2)), np.empty((M, 0)),
                          SQRT_K, NOISE_SCALE)
     assert np.array_equal(out, X0)
     assert y.shape == (M, 0)
@@ -132,10 +136,10 @@ def test_filter_backward_matches_per_trial_recursion():
 
 def test_chunked_batches_reproduce_the_full_batch():
     """Trials are independent, so splitting the batch cannot change bits."""
-    whole = roll(X0, F_STEP, L_STEP, W)
+    whole = roll(X0, FWD, G, W)
     split = np.vstack(
-        [roll(X0[:70], F_STEP, L_STEP, W[:70]),
-         roll(X0[70:], F_STEP, L_STEP, W[70:])]
+        [roll(X0[:70], FWD, G, W[:70]),
+         roll(X0[70:], FWD, G, W[70:])]
     )
     assert np.array_equal(whole, split)
 
@@ -143,10 +147,10 @@ def test_chunked_batches_reproduce_the_full_batch():
 def test_chunked_record_batches_reproduce_the_full_batch():
     """Rows one at a time and split batches give the full batch's states
     and records bit for bit, so a replayed trial equals its ensemble row."""
-    whole_x, whole_y = roll_record(X0, F_STEP, L_STEP, W, V, SQRT_K, NOISE_SCALE)
+    whole_x, whole_y = roll_record(X0, FWD, G, W, V, SQRT_K, NOISE_SCALE)
     for parts in ([slice(i, i + 1) for i in range(M)],
                   [slice(0, 1), slice(1, 70), slice(70, M)]):
-        runs = [roll_record(X0[p], F_STEP, L_STEP, W[p], V[p], SQRT_K, NOISE_SCALE)
+        runs = [roll_record(X0[p], FWD, G, W[p], V[p], SQRT_K, NOISE_SCALE)
                 for p in parts]
         assert np.array_equal(np.vstack([x for x, _ in runs]), whole_x)
         assert np.array_equal(np.vstack([y for _, y in runs]), whole_y)
@@ -173,7 +177,7 @@ def test_all_noise_off_collapses_the_ensemble():
     x0 = np.tile([0.9, -0.4], (M, 1))
     wz = np.zeros((M, N, 2))
     vz = np.zeros((M, N))
-    xs, ys = roll_record(x0, F_STEP, L_STEP, wz, vz, SQRT_K, NOISE_SCALE)
+    xs, ys = roll_record(x0, FWD, G, wz, vz, SQRT_K, NOISE_SCALE)
     assert np.all(xs == xs[0])
     assert np.all(ys == ys[0])
     est = filter_backward(ys, WEIGHTS)
@@ -192,7 +196,7 @@ def test_record_gain_regression_recovers_sqrt_meas_rate():
     q_true = x0[:, 0].copy()
     v = rng.standard_normal((n_trials, 1))
     _, y = roll_record(
-        x0, np.eye(2), np.zeros((2, 2)), np.zeros((n_trials, 1, 2)),
+        x0, *powers(np.eye(2), np.zeros((2, 2)), 1), np.zeros((n_trials, 1, 2)),
         v, math.sqrt(meas_rate), 1.0 / math.sqrt(dt),
     )
     slope = float(np.sum(y[:, 0] * q_true) / np.sum(q_true * q_true))
