@@ -17,7 +17,7 @@ inference.  Two entry points matter:
 
 The covariance of both follows a Riccati recursion that never reads
 the record.  So :func:`retrodict` is a cached fold: per (backward step,
-gate, prior scale) the recursion runs once and yields weights with
+gate) the recursion runs once and yields weights with
 mean = record · weights, which :func:`retrodiction_schedule` also hands
 to the batched ensemble.  The recursion itself steps the three Python
 floats of the symmetric 2x2 covariance through
@@ -95,54 +95,24 @@ def _backward_ops(model: DynamicsModel, dt: float):
     return finv, _predict(_sym(qd), finv, (0.0, 0.0, 0.0))
 
 
-def retrodict(
-    record: MeasurementRecord,
-    model: DynamicsModel,
-    target_time: float,
-    prior_scale: float = PRIOR_SCALE,
-) -> FilterState:
-    """Estimate the state at ``target_time`` from a later record.
+def retrodict(record: MeasurementRecord, model: DynamicsModel) -> FilterState:
+    """Estimate the state at the record's first sample from the record.
 
     The backward filter from the last sample down to the first is the
     cached fold of :func:`retrodiction_schedule`, keyed also by the
-    record's gate and ``prior_scale``: the mean at the first sample is
-    record · weights, gated-off samples weighing zero.  Any remaining
-    gap to ``target_time`` is bridged under the time-reversed dynamics.
+    record's gate: the mean at ``record.t0`` is record · weights,
+    gated-off samples weighing zero.  The record must span at least one
+    base period.
     """
-    if not (prior_scale > 0.0 and math.isfinite(prior_scale)):
-        raise ValueError(f"prior_scale must be positive and finite, got {prior_scale!r}")
-    if len(record) == 0:
-        raise ValueError("empty record")
-    _check_dt(model, record.dt)
     min_span = model.local_period
     if record.duration < min_span * (1.0 - 1e-9):
         raise ValueError(
             f"record too short for retrodiction: spans {record.duration:.6e} s, "
             f"need at least one base period ({min_span:.6e} s)"
         )
-    if target_time > record.t0 + 1e-12 * record.dt:
-        raise ValueError("target_time must not be later than the record start")
-
-    finv, qrev = _backward_ops(model, record.dt)
-    try:
-        weights, cov = _fold_schedule(
-            finv, qrev, math.sqrt(model.meas_rate), record.dt,
-            record.gate.tobytes(), float(prior_scale),
-        )
-    except CovarianceError as err:
-        t = record.t0 + err.t
-        raise CovarianceError(
-            f"retrodiction lost positive definiteness at t = {t:.6e} s", t
-        ) from err
+    weights, cov = _checked_fold(model, record.dt, record.gate.tobytes(), record.t0)
     mean = filter_backward(np.where(record.gate, record.samples, 0.0)[None], weights)[0]
-
-    gap = record.t0 - target_time
-    if gap > 1e-12 * record.dt:
-        finv_gap, qrev_gap = _backward_ops(model, gap)
-        mean = np.reshape(finv_gap, (2, 2)) @ mean
-        cov = _predict(cov, finv_gap, qrev_gap)
-
-    return FilterState(estimate=mean, cov=_mat(cov), t=float(target_time))
+    return FilterState(estimate=mean, cov=_mat(cov), t=float(record.t0))
 
 
 def retrodiction_schedule(
@@ -154,26 +124,38 @@ def retrodiction_schedule(
     mean = record · weights, weights being (n, 2); cov_target does not
     depend on the record.  Every call returns fresh arrays.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("need at least one sample")
-    if model.meas_rate <= 0.0:
-        raise ValueError("retrodiction schedule needs meas_rate > 0")
-    _check_dt(model, dt)
-    finv, qrev = _backward_ops(model, dt)
-    weights, cov = _fold_schedule(
-        finv, qrev, math.sqrt(model.meas_rate), dt,
-        np.ones(n, dtype=bool).tobytes(), PRIOR_SCALE,
-    )
+    # n gated-on samples, as the bytes of a bool gate (none if n < 1)
+    weights, cov = _checked_fold(model, dt, b"\x01" * operator.index(n))
     return weights.copy(), _mat(cov)
 
 
+def _checked_fold(model: DynamicsModel, dt: float, gate: bytes, t0: float = 0.0):
+    """The cached fold for samples spaced dt from t0, after checking its inputs.
+
+    A covariance that loses positive definiteness is reported at its
+    sample's time, counted from ``t0``.
+    """
+    if len(gate) < 1:
+        raise ValueError("need at least one sample")
+    if model.meas_rate <= 0.0:
+        raise ValueError("retrodiction needs meas_rate > 0")
+    _check_dt(model, dt)
+    finv, qrev = _backward_ops(model, dt)
+    try:
+        return _fold_schedule(finv, qrev, math.sqrt(model.meas_rate), dt, gate)
+    except CovarianceError as err:
+        t = t0 + err.t
+        raise CovarianceError(
+            f"retrodiction lost positive definiteness at t = {t:.6e} s", t
+        ) from err
+
+
 @lru_cache(maxsize=16)
-def _fold_schedule(finv, qrev, sqrt_k, dt, gate, prior_scale):
+def _fold_schedule(finv, qrev, sqrt_k, dt, gate):
     """Backward filter over samples spaced dt, folded into record weights.
 
     ``gate`` holds the bytes of the record's bool gate.  Runs the
-    covariance from prior_scale * I at the last sample down to the
+    covariance from PRIOR_SCALE * I at the last sample down to the
     first, checking it after every update (times counted from the first
     sample), then folds the maps the mean goes through: with gain g_k at
     sample k, mean = sum_k phi_k g_k y_k, where phi_0 = I and
@@ -185,7 +167,7 @@ def _fold_schedule(finv, qrev, sqrt_k, dt, gate, prior_scale):
     n = len(on)
     inv_dt = 1.0 / dt
     gains = [(0.0, 0.0)] * n  # a gated-off sample gets zero gain
-    cov = (prior_scale, 0.0, prior_scale)
+    cov = (PRIOR_SCALE, 0.0, PRIOR_SCALE)
     for k in range(n - 1, -1, -1):
         if on[k]:
             gains[k], cov = _joseph_update(cov, sqrt_k, inv_dt)
@@ -283,20 +265,17 @@ def estimate_trial_outcome(
 ) -> FilterState:
     """Best (Q, P) estimate right after the protocol, with covariance.
 
-    Retrodicts from the post-protocol record back to the schedule's
-    reference time t_zero (which for the conventional sequence is the
-    kick time itself). ``records`` may be a single record or any
-    iterable containing the trial's records; the one starting at or
-    after t_zero is used.
+    Retrodicts the post-protocol record back to its start, the
+    schedule's reference time t_zero (which for the conventional
+    sequence is the kick time itself). ``records`` may be a single
+    record or any iterable containing the trial's records; the one
+    starting at t_zero is used.
     """
     require_valid(schedule)
     if isinstance(records, MeasurementRecord):
-        candidates = [records]
-    else:
-        candidates = list(records)
+        records = (records,)
     tol = 1e-9 * schedule.readout_duration
-    post = [r for r in candidates if r.t0 >= schedule.t_zero - tol]
-    if not post:
-        raise ValueError("no post-protocol record found (need one starting at t_zero)")
-    post.sort(key=lambda r: r.t0)
-    return retrodict(post[0], model, schedule.t_zero)
+    for record in records:
+        if abs(record.t0 - schedule.t_zero) <= tol:
+            return retrodict(record, model)
+    raise ValueError("no post-protocol record found (need one starting at t_zero)")

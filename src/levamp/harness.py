@@ -397,13 +397,11 @@ def fit_displacement_vs_tau(ensembles) -> DisplacementFit:
     stats = [ensemble_stats(e) for e in ensembles]
     y = np.array([s.signal_mean for s in stats])
     se = np.array([s.signal_mean_se for s in stats])
-    w = 1.0 / se**2
-    denom = float(np.sum(w * taus**2))
-    k = float(np.sum(w * taus * y) / denom)
+    k, k_se = _fit_through_origin(taus, y, se)
     return DisplacementFit(
         r=ensembles[0].r,
         k=k,
-        k_se=1.0 / math.sqrt(denom),
+        k_se=k_se,
         taus=taus,
         dq_means=y,
         dq_ses=se,
@@ -423,10 +421,14 @@ def fit_k1(fits) -> tuple[float, float]:
         raise ValueError("need at least two distinct squeeze ratios to fit k1")
     ks = np.array([f.k for f in fits])
     ses = np.array([f.k_se for f in fits])
-    w = 1.0 / ses**2
-    denom = float(np.sum(w * rs**2))
-    k1 = float(np.sum(w * rs * ks) / denom)
-    return k1, 1.0 / math.sqrt(denom)
+    return _fit_through_origin(rs, ks, ses)
+
+
+def _fit_through_origin(x, y, se) -> tuple[float, float]:
+    """Slope and its standard error of y = slope * x, weighted by 1/se²."""
+    w = 1.0 / se**2
+    denom = float(np.sum(w * x**2))
+    return float(np.sum(w * x * y) / denom), 1.0 / math.sqrt(denom)
 
 
 # ---------------------------------------------------------------------------

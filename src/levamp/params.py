@@ -148,24 +148,21 @@ def zero_point_momentum(params: OscillatorParams) -> float:
     return math.sqrt(HBAR * params.mass_kg * params.omega / 2.0)
 
 
-def impulse_from_pulse(
-    params: OscillatorParams, pulse_voltage: float, pulse_duration: float
-) -> float:
+def impulse_from_pulse(params: OscillatorParams, pulse_duration: float) -> float:
     """Momentum kick, in zero-point units, of a rectangular voltage pulse.
 
-    delta_P = kappa_imp * pulse_voltage * pulse_duration. A zero-duration
-    pulse is a valid null kick. Durations above IMPULSE_WARN_S only warn:
-    the kick is applied as instantaneous either way, which is the caller's
-    modeling choice to make.
+    delta_P = kappa_imp * pulse_voltage_v * pulse_duration, both
+    coefficients from ``params``. A zero-duration pulse is a valid null
+    kick. Durations above IMPULSE_WARN_S only warn: the kick is applied
+    as instantaneous either way, which is the caller's modeling choice
+    to make.
     """
     if pulse_duration < 0.0:
         raise ValueError(f"pulse_duration must be >= 0, got {pulse_duration}")
-    if not math.isfinite(pulse_voltage):
-        raise ValueError(f"pulse_voltage must be finite, got {pulse_voltage}")
-    dp = params.kappa_imp * pulse_voltage * pulse_duration
+    dp = params.kappa_imp * params.pulse_voltage_v * pulse_duration
     if not math.isfinite(dp):
         raise ValueError(
-            f"kick kappa_imp * pulse_voltage * pulse_duration must be finite, got {dp}"
+            f"kick kappa_imp * pulse_voltage_v * pulse_duration must be finite, got {dp}"
         )
     if pulse_duration > IMPULSE_WARN_S * (1.0 + 1e-12):
         warnings.warn(

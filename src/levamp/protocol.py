@@ -169,22 +169,19 @@ def _hold_segment(params: OscillatorParams) -> Segment:
 def build_conventional(
     params: OscillatorParams,
     tau: float,
-    release_lead: float = DEFAULT_RELEASE_LEAD_S,
     readout_duration: float | None = None,
 ) -> ProtocolSchedule:
     """Direct kick-and-measure sequence in the stiff trap.
 
-    Feedback cooling is released ``release_lead`` seconds before the
-    kick (default 3.6 us) and the trap is never softened, so the
-    momentum transfer is read back without amplification.
+    Feedback cooling is released DEFAULT_RELEASE_LEAD_S (3.6 us) before
+    the kick and the trap is never softened, so the momentum transfer
+    is read back without amplification.
     """
-    if not (release_lead > 0.0 and math.isfinite(release_lead)):
-        raise ValueError("release_lead must be positive")
     readout_duration = _default_readout(params, readout_duration)
-    dp = impulse_from_pulse(params, params.pulse_voltage_v, tau)
+    dp = impulse_from_pulse(params, tau)
     segments = (
         _hold_segment(params),
-        Segment("free_base", float(release_lead)),
+        Segment("free_base", DEFAULT_RELEASE_LEAD_S),
         Segment("kick", 0.0, kick_dp=dp),
         Segment("readout", readout_duration),
     )
@@ -208,7 +205,7 @@ def build_amplified(
             "protocol; use build_conventional for the r = 1 sequence"
         )
     readout_duration = _default_readout(params, readout_duration)
-    dp = impulse_from_pulse(params, params.pulse_voltage_v, tau)
+    dp = impulse_from_pulse(params, tau)
     soft = Segment("soft", math.pi * r / (2.0 * params.omega), freq_ratio=1.0 / r)
     segments = (
         _hold_segment(params),
@@ -280,8 +277,8 @@ def require_valid(schedule: ProtocolSchedule) -> None:
         raise ValueError("invalid schedule: " + "; ".join(violations))
 
 
-def schedule_to_json(schedule: ProtocolSchedule, indent: int | None = 2) -> str:
-    """Serialize the segment list as a JSON array for inspection."""
+def schedule_to_json(schedule: ProtocolSchedule) -> str:
+    """Serialize the segment list as a JSON array, indented by 2, for inspection."""
     payload = [
         {
             "kind": seg.kind,
@@ -293,4 +290,4 @@ def schedule_to_json(schedule: ProtocolSchedule, indent: int | None = 2) -> str:
         }
         for seg in schedule.segments
     ]
-    return json.dumps(payload, indent=indent)
+    return json.dumps(payload, indent=2)

@@ -152,7 +152,7 @@ def _criterion_5(params: OscillatorParams) -> tuple[bool, str]:
     steady = riccati_steady_state(model)
     dt = params.period_s / 200.0
     n = int(round(BUDGET_READOUT_PERIODS * 200))
-    back = retrodict(_flat_record(model, n, dt), model, 0.0)
+    back = retrodict(_flat_record(model, n, dt), model)
     rel = max(
         abs(back.cov[0, 0] / steady[0, 0] - 1.0),
         abs(back.cov[1, 1] / steady[1, 1] - 1.0),
@@ -163,7 +163,7 @@ def _criterion_5(params: OscillatorParams) -> tuple[bool, str]:
     cov_gap = float(
         np.max(
             np.abs(
-                retrodict(rec_a, model, 0.0).cov - retrodict(rec_b, model, 0.0).cov
+                retrodict(rec_a, model).cov - retrodict(rec_b, model).cov
             )
         )
     )

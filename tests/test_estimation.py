@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levamp import estimation
 from levamp._kernels import filter_backward
 from levamp.dynamics import (
     CovarianceError,
@@ -17,6 +18,7 @@ from levamp.dynamics import (
     _joseph_update,
     _predict,
     _sym,
+    base_model,
     transition,
 )
 from levamp.estimation import (
@@ -32,6 +34,7 @@ from levamp.params import OscillatorParams
 from levamp.protocol import build_amplified, build_conventional
 from levamp.records import MeasurementRecord
 from reference_filter import backward_filter
+from reference_steady_state import continuous_steady_state
 
 PARAMS = OscillatorParams()
 MODEL = readout_model(PARAMS)
@@ -192,11 +195,34 @@ def test_steady_state_step_refinement_contracts():
     assert c2 <= 0.6 * c1
 
 
+@pytest.mark.parametrize("eta", [0.14, 1.0])
+def test_steady_position_variance_approaches_the_closed_form_first_order(eta):
+    """Each halving of the step halves the gap of V_qq to the
+    continuous-time steady state, to within 0.5 %."""
+    model = readout_model(PARAMS.with_(eta=eta))
+    exact = continuous_steady_state(model)[0, 0]
+    gaps = [riccati_steady_state(model, n)[0, 0] - exact for n in (200, 400, 800)]
+    assert 1.99 <= gaps[0] / gaps[1] <= 2.01
+    assert 1.99 <= gaps[1] / gaps[2] <= 2.01
+
+
+@pytest.mark.parametrize("n", [200, 400])
+@pytest.mark.parametrize("eta", [0.14, 1.0])
+def test_richardson_extrapolated_steady_state_meets_the_closed_form(eta, n):
+    """2 V(2n) - V(n) cancels the first-order term, leaving V_qq and
+    V_pp within 1e-5 relative of the continuous-time steady state."""
+    model = readout_model(PARAMS.with_(eta=eta))
+    exact = continuous_steady_state(model)
+    coarse, fine = riccati_steady_state(model, n), riccati_steady_state(model, 2 * n)
+    for i in (0, 1):
+        assert abs((2.0 * fine[i, i] - coarse[i, i]) / exact[i, i] - 1.0) <= 1e-5
+
+
 def test_smoother_step_refinement_contracts():
     covs = []
     for div in (100, 200, 400):
         rec = flat_record(6 * div, dt=PERIOD / div)
-        covs.append(retrodict(rec, MODEL, 0.0).cov)
+        covs.append(retrodict(rec, MODEL).cov)
     c1 = np.max(np.abs(covs[1] - covs[0]))
     c2 = np.max(np.abs(covs[2] - covs[1]))
     assert c2 < 4.0 * c1
@@ -248,7 +274,7 @@ def test_retrodiction_recovers_a_noiseless_trajectory():
         samples[k] = math.sqrt(MODEL.meas_rate) * x[0]
         x = f @ x
     rec = MeasurementRecord(0.0, DT, samples, np.ones(n, dtype=bool))
-    out = retrodict(rec, MODEL, 0.0)
+    out = retrodict(rec, MODEL)
     assert np.max(np.abs(out.estimate - x0)) < 1e-3
     assert out.t == 0.0
 
@@ -293,7 +319,7 @@ def test_retrodiction_matches_a_joint_gaussian_oracle():
         mean_ref = gain @ samples[on]
         cov_ref = prior - gain @ c_xy[:, on].T
 
-        out = retrodict(MeasurementRecord(0.0, dt, samples, gate), MODEL, 0.0)
+        out = retrodict(MeasurementRecord(0.0, dt, samples, gate), MODEL)
         assert np.max(np.abs(out.estimate - mean_ref)) < 1e-7
         assert np.max(np.abs(out.cov - cov_ref)) / np.max(np.abs(cov_ref)) < 1e-5
 
@@ -303,51 +329,56 @@ def test_retrodicted_covariance_ignores_the_record_values():
     n = 5 * 200
     rec_a = MeasurementRecord(0.0, DT, rng.standard_normal(n), np.ones(n, dtype=bool))
     rec_b = MeasurementRecord(0.0, DT, 5.0 + rng.standard_normal(n), np.ones(n, dtype=bool))
-    cov_a = retrodict(rec_a, MODEL, 0.0).cov
-    cov_b = retrodict(rec_b, MODEL, 0.0).cov
+    cov_a = retrodict(rec_a, MODEL).cov
+    cov_b = retrodict(rec_b, MODEL).cov
     assert np.max(np.abs(cov_a - cov_b)) < 1e-12
 
 
 def test_retrodiction_is_insensitive_to_the_prior_scale():
+    """The reference filter from much narrower and much wider priors
+    lands where retrodict does from PRIOR_SCALE."""
     rng = np.random.default_rng(5)
     n = 12 * 200
     rec = MeasurementRecord(0.0, DT, rng.standard_normal(n), np.ones(n, dtype=bool))
-    wide = retrodict(rec, MODEL, 0.0, prior_scale=1e8)
-    narrow = retrodict(rec, MODEL, 0.0, prior_scale=1e4)
-    assert np.max(np.abs(narrow.cov - wide.cov) / np.abs(wide.cov)) < 1e-3
-    assert np.max(np.abs(narrow.estimate - wide.estimate)) < 1e-3
+    out = retrodict(rec, MODEL)
+    for prior_scale in (1e4, 1e8):
+        ref_mean, ref_cov = backward_filter(rec, MODEL, prior_scale)
+        assert np.max(np.abs(out.cov - ref_cov) / np.abs(ref_cov)) < 1e-3
+        assert np.max(np.abs(out.estimate - ref_mean)) < 1e-3
 
 
 def test_ideal_detection_retrodicts_to_the_uncertainty_floor():
     ideal = readout_model(PARAMS.with_(eta=1.0))
-    out = retrodict(flat_record(10 * 200), ideal, 0.0)
+    out = retrodict(flat_record(10 * 200), ideal)
     assert out.cov[0, 0] == pytest.approx(1.0, rel=0.03)
 
 
-def test_retrodict_rejects_short_records_and_late_targets():
+def test_retrodict_rejects_short_records_coarse_steps_and_no_detection():
     with pytest.raises(ValueError, match="record too short"):
-        retrodict(flat_record(50), MODEL, 0.0)
+        retrodict(flat_record(50), MODEL)
     with pytest.raises(ValueError, match="dt too coarse"):
-        retrodict(flat_record(40, dt=PERIOD / 10.0), MODEL, 0.0)
-    with pytest.raises(ValueError):
-        retrodict(flat_record(400), MODEL, 10.0 * PERIOD)
+        retrodict(flat_record(40, dt=PERIOD / 10.0), MODEL)
+    blind = base_model(PARAMS, measurement_on=False)
+    with pytest.raises(ValueError, match="meas_rate"):
+        retrodict(flat_record(400), blind)
+    with pytest.raises(ValueError, match="meas_rate"):
+        retrodiction_schedule(blind, DT, 400)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-def test_retrodict_rejects_a_bad_prior_scale(bad):
-    with pytest.raises(ValueError, match="prior_scale"):
-        retrodict(flat_record(400), MODEL, 0.0, prior_scale=bad)
-
-
-def test_an_overflowing_prior_names_a_sample_time_inside_the_record():
+def test_an_overflowing_prior_names_a_sample_time_inside_the_record(monkeypatch):
     """A finite prior so broad that the covariance overflows fails as a
     CovarianceError at the time of a sample of the record, without warnings."""
     n = 400
     t0 = 3.0 * PERIOD
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(CovarianceError, match="positive definiteness") as info:
-            retrodict(flat_record(n, t0=t0), MODEL, t0, prior_scale=1e300)
+    monkeypatch.setattr(estimation, "PRIOR_SCALE", 1e300)
+    _fold_schedule.cache_clear()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CovarianceError, match="positive definiteness") as info:
+                retrodict(flat_record(n, t0=t0), MODEL)
+    finally:
+        _fold_schedule.cache_clear()
     named = float(re.search(r"at t = (\S+) s", str(info.value)).group(1))
     assert info.value.t == pytest.approx(named, rel=1e-6)
     k = (info.value.t - t0) / DT
@@ -356,8 +387,8 @@ def test_an_overflowing_prior_names_a_sample_time_inside_the_record():
 
 def test_precomputed_schedule_reproduces_retrodiction():
     """The record weights used by the batched harness, and retrodict on
-    gated-on and NaN-gapped records at other priors, agree with the
-    per-sample reference filter."""
+    gated-on and NaN-gapped records, agree with the per-sample
+    reference filter."""
     n = 600
     rng = np.random.default_rng(99)
     y = 2.0 * rng.standard_normal(n)
@@ -373,11 +404,10 @@ def test_precomputed_schedule_reproduces_retrodiction():
     gapped[150:260] = False
     for gate in (np.ones(n, dtype=bool), gapped):
         rec = MeasurementRecord(0.0, DT, np.where(gate, y, np.nan), gate)
-        for prior_scale in (1e4, PRIOR_SCALE, 1e8):
-            ref_mean, ref_cov = backward_filter(rec, MODEL, prior_scale)
-            out = retrodict(rec, MODEL, 0.0, prior_scale=prior_scale)
-            assert np.max(np.abs(out.estimate - ref_mean)) < 1e-12
-            assert np.max(np.abs(out.cov - ref_cov)) < 1e-12
+        ref_mean, ref_cov = backward_filter(rec, MODEL, PRIOR_SCALE)
+        out = retrodict(rec, MODEL)
+        assert np.max(np.abs(out.estimate - ref_mean)) < 1e-12
+        assert np.max(np.abs(out.cov - ref_cov)) < 1e-12
 
 
 def test_writing_into_a_schedule_leaves_the_cache_intact():

@@ -93,46 +93,41 @@ def test_db_ratio_rejects_non_positive():
     ],
 )
 def test_impulse_from_pulse_values(voltage, duration, expected):
-    assert impulse_from_pulse(PARAMS, voltage, duration) == pytest.approx(
-        expected, rel=1e-12
-    )
+    params = PARAMS.with_(pulse_voltage_v=voltage)
+    assert impulse_from_pulse(params, duration) == pytest.approx(expected, rel=1e-12)
 
 
 def test_impulse_is_bilinear_in_voltage_and_duration():
-    base = impulse_from_pulse(PARAMS, 2.0, 100e-9)
-    assert impulse_from_pulse(PARAMS, 6.0, 100e-9) == pytest.approx(
-        3.0 * base, rel=1e-12
-    )
-    assert impulse_from_pulse(PARAMS, 2.0, 500e-9) == pytest.approx(
-        5.0 * base, rel=1e-12
-    )
-    assert impulse_from_pulse(PARAMS, -2.0, 100e-9) == pytest.approx(
-        -base, rel=1e-12
-    )
+    base = impulse_from_pulse(PARAMS, 100e-9)
+    tripled = PARAMS.with_(pulse_voltage_v=3.0 * PARAMS.pulse_voltage_v)
+    reversed_ = PARAMS.with_(pulse_voltage_v=-PARAMS.pulse_voltage_v)
+    assert impulse_from_pulse(tripled, 100e-9) == pytest.approx(3.0 * base, rel=1e-12)
+    assert impulse_from_pulse(PARAMS, 500e-9) == pytest.approx(5.0 * base, rel=1e-12)
+    assert impulse_from_pulse(reversed_, 100e-9) == pytest.approx(-base, rel=1e-12)
 
 
 def test_impulse_warns_above_one_microsecond():
     with pytest.warns(UserWarning, match="instantaneous"):
-        impulse_from_pulse(PARAMS, 2.0, 1.5e-6)
+        impulse_from_pulse(PARAMS, 1.5e-6)
 
 
 def test_impulse_silent_at_exactly_one_microsecond():
     """1000 ns is inside the validated range, so no warning fires there."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dp = impulse_from_pulse(PARAMS, 2.0, IMPULSE_WARN_S)
-        dp2 = impulse_from_pulse(PARAMS, 2.0, 1000.0 / 1e9)
+        dp = impulse_from_pulse(PARAMS, IMPULSE_WARN_S)
+        dp2 = impulse_from_pulse(PARAMS, 1000.0 / 1e9)
     assert dp == pytest.approx(12.0, rel=1e-12)
     assert dp2 == pytest.approx(12.0, rel=1e-12)
 
 
 def test_impulse_rejects_bad_pulses():
     with pytest.raises(ValueError):
-        impulse_from_pulse(PARAMS, 2.0, -1e-9)
+        impulse_from_pulse(PARAMS, -1e-9)
     with pytest.raises(ValueError):
-        impulse_from_pulse(PARAMS, float("nan"), 100e-9)
+        impulse_from_pulse(PARAMS.with_(pulse_voltage_v=float("nan")), 100e-9)
     with pytest.raises(ValueError, match="kick .* must be finite"):
-        impulse_from_pulse(PARAMS.with_(kappa_imp=1e308), 1e10, 1e-6)
+        impulse_from_pulse(PARAMS.with_(kappa_imp=1e308, pulse_voltage_v=1e10), 1e-6)
 
 
 def test_angular_frequency_properties():
