@@ -172,16 +172,12 @@ def _run_scaling(out: Path, name: str, command: str, cfg: RunConfig, seed: int,
     results = {}
     for i, r in enumerate(cfg.r_grid):
         group = ensembles[i * len(taus):(i + 1) * len(taus)]
+        rows.extend(scaling_rows(group))
         if len(set(taus)) >= 3:
             fit = fit_displacement_vs_tau(group)
             fits.append(fit)
-            rows.extend(scaling_rows(fit))
             results[f"k_r_{r:.6g}"] = fit.k
             results[f"k_se_r_{r:.6g}"] = fit.k_se
-        else:
-            for e in group:
-                stats = ensemble_stats(e)
-                rows.append((e.r, e.tau_s, stats.signal_mean, stats.signal_mean_se))
     write_scaling_csv(rows, out / "scaling.csv")
     if len(fits) >= 2:
         k1, k1_se = fit_k1(fits)

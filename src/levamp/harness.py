@@ -10,11 +10,11 @@ impulse, and their standard errors.
 
 Determinism contract: trial i of a run draws all of its randomness
 from ``numpy.random.default_rng([master_seed, i])`` in a fixed order
-set by the schedule alone.  A worker thread takes CHUNK trials at a
-time and runs them in batches whose draws and readout records fit in
-BATCH_BYTES, one batch in memory per thread; the kernels give a trial
-the same bits in any batch and the reduction is an ordered write by
-trial index, so results are bit-identical for any worker count.
+set by the schedule alone.  An ensemble is split once, into batches
+whose draws and readout records fit in BATCH_BYTES; each batch is one
+thread task, so a thread holds one batch in memory.  The kernels give a
+trial the same bits in any batch and the reduction is an ordered write
+by trial index, so results are bit-identical for any worker count.
 
 The per-trial noise sources and their budget: the thermal preparation
 contributes variance 2 n + 1 to the amplified position, the finite
@@ -40,9 +40,8 @@ from .protocol import MEASURED_KINDS, ProtocolSchedule, Segment, build_for_ratio
 from .records import MeasurementRecord
 from .state import GaussianState, apply_impulse
 
-# Trials per thread task, and the bytes a batch of them may hold in
-# normal draws and readout records (a trial past it runs alone).
-CHUNK = 256
+# The bytes a batch of trials, one thread task, may hold in normal
+# draws and readout records (a trial past it runs alone).
 BATCH_BYTES = 8 << 20
 DEFAULT_DT_PER_PERIOD = 200
 DEFAULT_WORKERS = os.cpu_count() or 1
@@ -192,17 +191,19 @@ def run_ensemble(
     master_seed: int,
     *,
     dt_per_period: int = DEFAULT_DT_PER_PERIOD,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> Ensemble:
     """Run n_trials of the schedule and retrodict every outcome.
 
     Each trial starts from the thermal preparation at the end of the
-    feedback hold.  The result is bit-identical for any ``workers`` value.
+    feedback hold.  The result is bit-identical for any ``workers`` >= 1.
     Each thread holds one batch at a time: at most BATCH_BYTES of draws
     and readout record, or one trial where a trial needs more.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     plans, total = _plan_segments(schedule, params, dt_per_period)
     ro = plans[-1]  # a valid schedule ends with a measured readout
 
@@ -213,9 +214,10 @@ def run_ensemble(
     outcomes = np.empty((n_trials, 2))
     truths = np.empty((n_trials, 2))
 
-    def run_batch(start: int, stop: int) -> None:
+    def run_batch(start: int) -> None:
         # A function of its own, so the batch's draws and records are
         # freed on return, before the next batch draws.
+        stop = min(start + batch, n_trials)
         batch_truths, records = _simulate_batch(start, stop, plans, total, master_seed, init_std)
         est = _kernels.filter_backward(records[-1][1], weights)
         bad = np.flatnonzero(~np.isfinite(np.hstack([est, batch_truths])).all(axis=1))
@@ -226,21 +228,15 @@ def run_ensemble(
         outcomes[start:stop] = est
         truths[start:stop] = batch_truths
 
-    def work(start: int) -> None:
-        stop = min(start + CHUNK, n_trials)
-        for first in range(start, stop, batch):
-            run_batch(first, min(first + batch, stop))
-
-    # The first failing batch stops the run: a chunk runs its batches in
-    # order, and pool.map raises in chunk order and cancels the rest, so
-    # every worker count names the same trial.
-    starts = range(0, n_trials, CHUNK)
-    if workers is None or workers <= 1 or len(starts) == 1:
+    # The first failing batch stops the run: pool.map raises in batch
+    # order and cancels the rest, so every worker count names the same trial.
+    starts = range(0, n_trials, batch)
+    if workers == 1 or len(starts) == 1:
         for start in starts:
-            work(start)
+            run_batch(start)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, starts))
+            list(pool.map(run_batch, starts))
 
     return Ensemble(
         r=schedule.squeeze_ratio,
@@ -375,9 +371,6 @@ class DisplacementFit:
     r: float
     k: float
     k_se: float
-    taus: np.ndarray
-    dq_means: np.ndarray
-    dq_ses: np.ndarray
 
 
 def fit_displacement_vs_tau(ensembles) -> DisplacementFit:
@@ -398,14 +391,7 @@ def fit_displacement_vs_tau(ensembles) -> DisplacementFit:
     y = np.array([s.signal_mean for s in stats])
     se = np.array([s.signal_mean_se for s in stats])
     k, k_se = _fit_through_origin(taus, y, se)
-    return DisplacementFit(
-        r=ensembles[0].r,
-        k=k,
-        k_se=k_se,
-        taus=taus,
-        dq_means=y,
-        dq_ses=se,
-    )
+    return DisplacementFit(r=ensembles[0].r, k=k, k_se=k_se)
 
 
 def fit_k1(fits) -> tuple[float, float]:
@@ -495,7 +481,7 @@ def run_grid(
     *,
     readout_periods: float = 5.0,
     dt_per_period: int = DEFAULT_DT_PER_PERIOD,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[Ensemble]:
     """One ensemble per (r, tau_s) point, in the order given.
 
@@ -522,7 +508,7 @@ def sensitivity_curve(
     *,
     readout_periods: float = 5.0,
     dt_per_period: int = DEFAULT_DT_PER_PERIOD,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> tuple[SensitivityPoint, ...]:
     """Monte-Carlo minimum resolvable impulse across squeeze ratios.
 
@@ -580,13 +566,13 @@ def write_ensemble_csv(ensemble: Ensemble, path) -> None:
                ([str(i), *row] for i, row in enumerate(table)))
 
 
-def scaling_rows(fit: DisplacementFit) -> list[tuple[float, float, float, float]]:
-    """Flatten a displacement fit into (r, tau_s, dq_mean, dq_se) rows."""
-    order = np.argsort(fit.taus)
-    return [
-        (fit.r, float(fit.taus[j]), float(fit.dq_means[j]), float(fit.dq_ses[j]))
-        for j in order
-    ]
+def scaling_rows(ensembles) -> list[tuple[float, float, float, float]]:
+    """One (r, tau_s, dq_mean, dq_se) row per ensemble, stably sorted by tau_s."""
+    rows = []
+    for e in sorted(ensembles, key=lambda e: e.tau_s):
+        stats = ensemble_stats(e)
+        rows.append((e.r, e.tau_s, stats.signal_mean, stats.signal_mean_se))
+    return rows
 
 
 def write_scaling_csv(rows, path) -> None:

@@ -296,6 +296,16 @@ def test_overrides_replace_the_file_keys_and_are_checked(tmp_path):
         load_config(path, {"r_grid": [7.0]})
 
 
+def test_readme_python_example_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert re.fullmatch(
+        r"displacement -?\d+\.\d{3} \+- \d+\.\d{3} zp, spread \d+\.\d{3} zp\n",
+        capsys.readouterr().out,
+    )
+
+
 def test_readme_config_paragraph_names_exactly_the_config_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     paragraph = next(p for p in readme.split("\n\n") if p.startswith("`--config path.json`"))

@@ -66,7 +66,7 @@ def test_same_seed_reproduces_the_ensemble_exactly():
 
 def test_worker_count_does_not_change_results():
     """Trials own independent seeded streams, so the thread layout is
-    invisible in the numbers (300 trials also crosses a chunk boundary)."""
+    invisible in the numbers (300 trials also crosses a batch boundary)."""
     serial = run_ensemble(AMP, PARAMS, 300, 777, workers=1)
     threaded = run_ensemble(AMP, PARAMS, 300, 777, workers=4)
     assert np.array_equal(serial.outcomes, threaded.outcomes)
@@ -144,8 +144,11 @@ def test_ensemble_estimation_covariance_matches_the_schedule():
 
 
 def test_run_ensemble_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_trials"):
         run_ensemble(AMP, PARAMS, 0, 1)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_ensemble(AMP, PARAMS, 10, 1, workers=workers)
 
 
 def test_non_finite_trials_abort_the_run(monkeypatch):
@@ -158,11 +161,11 @@ def test_non_finite_trials_abort_the_run(monkeypatch):
     monkeypatch.setattr(harness, "retrodiction_schedule", poisoned)
     for workers in (1, 2):
         with pytest.raises(RuntimeError, match=r"^trial 0 produced a non-finite result"):
-            run_ensemble(AMP, PARAMS, 2 * harness.CHUNK, 1, workers=workers)
+            run_ensemble(AMP, PARAMS, 512, 1, workers=workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_the_first_bad_chunk_stops_the_run(monkeypatch, workers):
+def test_the_first_bad_batch_stops_the_run(monkeypatch, workers):
     """Trials 300 and 600 go bad; the run names 300 for any worker count
     and, on one worker, simulates nothing past the batch that holds it."""
     real = harness._simulate_batch
@@ -178,7 +181,7 @@ def test_the_first_bad_chunk_stops_the_run(monkeypatch, workers):
 
     monkeypatch.setattr(harness, "_simulate_batch", poisoned)
     with pytest.raises(RuntimeError, match=r"^trial 300 produced a non-finite result"):
-        run_ensemble(AMP, PARAMS, 4 * harness.CHUNK, 1, workers=workers)
+        run_ensemble(AMP, PARAMS, 1024, 1, workers=workers)
     if workers == 1:
         assert spans[0][0] == 0
         assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
@@ -188,8 +191,8 @@ def test_the_first_bad_chunk_stops_the_run(monkeypatch, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("size", [1, 7])
 def test_batch_size_does_not_change_results(monkeypatch, size, workers):
-    """Batches of 1 and 7 trials, over 300 trials and so across a chunk
-    boundary, give the default run's bits; no batch crosses a chunk."""
+    """Batches of 1 and 7 trials over 300 trials give the default run's
+    bits, and the run splits into exactly those batches."""
     default = run_ensemble(AMP, PARAMS, 300, 777, workers=1)
     real = harness._simulate_batch
     spans = []
@@ -204,17 +207,13 @@ def test_batch_size_does_not_change_results(monkeypatch, size, workers):
     small = run_ensemble(AMP, PARAMS, 300, 777, workers=workers)
     assert np.array_equal(small.outcomes, default.outcomes)
     assert np.array_equal(small.truths, default.truths)
-    chunk = harness.CHUNK
-    assert sorted(spans) == [
-        (a, min(a + size, c + chunk, 300))
-        for c in range(0, 300, chunk) for a in range(c, min(c + chunk, 300), size)
-    ]
+    assert sorted(spans) == [(a, min(a + size, 300)) for a in range(0, 300, size)]
 
 
 def test_a_batch_holds_at_most_its_byte_budget():
     """A 256-trial, r = sqrt 12, 12-period ensemble on one worker peaks
-    within BATCH_BYTES of draws and records plus 1 MiB of the rest; one
-    chunk held at once would need about 20 MiB."""
+    within BATCH_BYTES of draws and records plus 1 MiB of the rest, though
+    all 256 trials held at once would need about 20 MiB."""
     schedule = build_for_ratio(PARAMS, R12, 0.0, 12.0 * PERIOD)
     run_ensemble(schedule, PARAMS, 1, 5, workers=1)  # lazy imports and caches, untraced
     tracemalloc.start()
@@ -364,7 +363,6 @@ def test_displacement_fit_recovers_an_exact_slope():
     fit = fit_displacement_vs_tau(ensembles)
     assert fit.r == 2.0
     assert fit.k == pytest.approx(k_true, rel=1e-12)
-    assert np.allclose(sorted(fit.taus), taus, rtol=0.0)
 
 
 def test_displacement_fit_input_checks():
@@ -384,10 +382,7 @@ def test_displacement_fit_input_checks():
 def test_k1_reduction_recovers_the_bare_rate():
     k1_true = 5.0
     fits = [
-        DisplacementFit(
-            r=r, k=k1_true * r, k_se=0.1,
-            taus=np.array([1e-7]), dq_means=np.array([0.0]), dq_ses=np.array([1.0]),
-        )
+        DisplacementFit(r=r, k=k1_true * r, k_se=0.1)
         for r in (1.0, 2.0, R12)
     ]
     k1, k1_se = fit_k1(fits)
@@ -491,16 +486,23 @@ def test_ensemble_csv(tmp_path):
 
 
 def test_scaling_csv(tmp_path):
-    fit = fit_displacement_vs_tau(
-        [alternating_ensemble(2.0, t, 2.4e7 * t) for t in (1e-6, 1e-7, 3e-7)]
-    )
-    rows = scaling_rows(fit)
-    assert [row[1] for row in rows] == sorted(row[1] for row in rows)
+    ensembles = [alternating_ensemble(2.0, t, 2.4e7 * t) for t in (1e-6, 1e-7, 3e-7)]
+    rows = scaling_rows(ensembles)
+    assert [row[1] for row in rows] == [1e-7, 3e-7, 1e-6]
+    for row, e in zip(rows, [ensembles[1], ensembles[2], ensembles[0]]):
+        stats = ensemble_stats(e)
+        assert row == (2.0, e.tau_s, stats.signal_mean, stats.signal_mean_se)
     path = tmp_path / "scaling.csv"
     write_scaling_csv(rows, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "r,tau_s,dq_mean,dq_se"
     assert len(lines) == 4
+
+
+def test_scaling_rows_sort_stably_by_pulse_length():
+    first, second = alternating_ensemble(2.0, 2e-7, 1.0), alternating_ensemble(2.0, 2e-7, 2.0)
+    rows = scaling_rows([first, alternating_ensemble(2.0, 1e-7, 3.0), second])
+    assert [(row[1], row[2]) for row in rows] == [(1e-7, 3.0), (2e-7, 1.0), (2e-7, 2.0)]
 
 
 def test_sensitivity_csv(tmp_path):
