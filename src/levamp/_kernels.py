@@ -7,8 +7,9 @@ up to BLOCK steps, each trial's noise is moved into the frame of the
 block's first step, summed with one cumsum along the step axis and
 moved back, so Python loops over blocks, not steps.  Retrodiction
 needs no recursion per trial: its mean is a fixed linear functional of
-the record, mean = record · weights.  A batch of one serves
-single-trial replay.
+the record, mean = record · weights, summed per row against contiguous
+weight rows in a fixed order.  A batch of one serves single-trial
+replay with the same bits.
 
 Array layout is trial-major: states ``x`` are (m, 2), per-step noise
 ``w`` is (m, n, 2), records ``y`` are (m, n).  All kernels return new
@@ -154,8 +155,10 @@ def filter_backward(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Retrodicted means of a batch of records: mean = record · weights.
 
     y: (m, n) records in forward time order; weights: (n, 2) from
-    :func:`levamp.estimation.retrodiction_schedule`.  einsum sums each
-    row over n in the same order for any batch size, without BLAS, so
-    batching and thread count never change a bit.
+    :func:`levamp.estimation.retrodiction_schedule`.  Each record row is
+    summed against a contiguous (2, n) copy of the weight rows; einsum
+    sums over n in one fixed order per row, for any batch size and any
+    row address, without BLAS, so batching and thread count never
+    change a bit.
     """
-    return np.einsum("mn,nk->mk", y, weights)
+    return np.einsum("mn,kn->mk", y, np.ascontiguousarray(weights.T))

@@ -10,11 +10,14 @@ impulse, and their standard errors.
 
 Determinism contract: trial i of a run draws all of its randomness
 from ``numpy.random.default_rng([master_seed, i])`` in a fixed order
-set by the schedule alone.  An ensemble is split once, into batches
-whose draws and readout records fit in BATCH_BYTES; each batch is one
-thread task, so a thread holds one batch in memory.  The kernels give a
-trial the same bits in any batch and the reduction is an ordered write
-by trial index, so results are bit-identical for any worker count.
+set by the schedule alone.  A batch computes those generators' seeds
+in one vectorized pass, bit-identical to ``default_rng``, and checks
+the pass against ``default_rng`` on its first trial.  An ensemble is
+split once, into batches whose draws and readout records fit in
+BATCH_BYTES; each batch is one thread task, so a thread holds one batch
+in memory.  The kernels give a trial the same bits in any batch and the
+reduction is an ordered write by trial index, so results are
+bit-identical for any worker count.
 
 The per-trial noise sources and their budget: the thermal preparation
 contributes variance 2 n + 1 to the amplified position, the finite
@@ -29,6 +32,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,18 +115,20 @@ class _SegmentPlan:
     sqrt_k: float
 
 
+@lru_cache(maxsize=32)
 def _plan_segments(
     schedule: ProtocolSchedule,
     params: OscillatorParams,
     dt_per_period: int,
-) -> tuple[list[_SegmentPlan], int]:
+) -> tuple[tuple[_SegmentPlan, ...], int]:
     """Plan the simulated segments in timeline order; returns (plans, draws).
 
     The readout is the last plan, and a kick rides on the plan after it.
     Each trial draws all of its normals in one call, laid out as 2 for
     the initial state, then per plan 2 n process normals, then n record
     normals where it records.  The layout depends only on the schedule,
-    never on data.
+    never on data.  Cached, as every replayed trial and every config
+    check plans the same schedule again; the plans' arrays are read-only.
     """
     require_valid(schedule)
     plans: list[_SegmentPlan] = []
@@ -142,13 +148,104 @@ def _plan_segments(
         sqrt_k = math.sqrt(model.meas_rate)
         total += (3 if sqrt_k > 0.0 else 2) * n_steps
         fwd, g = _kernels.powers(f, _kernels.chol2x2(qd), n_steps)
+        fwd.flags.writeable = g.flags.writeable = False
         plans.append(_SegmentPlan(t_begin, kick_dp, n_steps, dt, fwd, g, sqrt_k))
         kick_dp = None
-    return plans, total
+    return tuple(plans), total
 
 
 def _trial_init_std(params: OscillatorParams) -> float:
     return math.sqrt(2.0 * params.n_init + 1.0)
+
+
+# numpy's SeedSequence hash (``hashmix`` and ``mix`` in its
+# bit_generator.pyx, pool size 4) and PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_WORD, _WORD128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _pcg64_states(master_seed: int, start: int, m: int) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of ``default_rng([master_seed, i])``, i in [start, start + m).
+
+    SeedSequence hashes the entropy words (master_seed's 32-bit words,
+    low first, then i) into a pool of four.  Its hash constants never
+    depend on the data, so the pass runs on uint32 arrays over all m
+    trials at once.  PCG64 then seeds from the pool's first four uint64
+    words with two 128-bit LCG steps.  Needs 0 <= master_seed and
+    0 <= start <= start + m <= 2**32, so that i is a single word.
+    """
+    words = [np.full(m, master_seed & _WORD, dtype=np.uint32)]
+    while master_seed := master_seed >> 32:
+        words.append(np.full(m, master_seed & _WORD, dtype=np.uint32))
+    words.append(np.arange(start, start + m).astype(np.uint32))
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ h
+        h = h * _MULT_A & _WORD
+        v = v * h
+        return v ^ v >> 16
+
+    def mix(x, y):
+        v = x * _MIX_L - y * _MIX_R
+        return v ^ v >> 16
+
+    pool = [hashmix(words[j] if j < len(words) else np.zeros(m, np.uint32)) for j in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = _INIT_B
+    out = []  # generate_state(4, np.uint64): eight words, paired low first
+    for j in range(8):
+        v = pool[j % 4] ^ h
+        h = h * _MULT_B & _WORD
+        v = v * h
+        out.append((v ^ v >> 16).astype(np.uint64))
+    seed_hi, seed_lo, inc_hi, inc_lo = ((out[j] | out[j + 1] << 32).tolist() for j in (0, 2, 4, 6))
+    states = []
+    for a, b, c, d in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = (c << 65 | d << 1 | 1) & _WORD128
+        states.append(((((a << 64 | b) + inc) * _PCG64_MULT + inc) & _WORD128, inc))
+    return states
+
+
+def _fill_normals(master_seed, start: int, z: np.ndarray) -> None:
+    """Fill z[i] with ``default_rng([master_seed, start + i]).standard_normal``.
+
+    Trial ``start`` draws from ``default_rng`` itself, which rejects a
+    bad seed as numpy does.  The other trials draw from the same
+    generator with its state set to :func:`_pcg64_states`' value, after
+    that value for trial ``start`` is checked against numpy's own;
+    trials from index 2**32 on, or under a master seed that is not an
+    integer, build their own ``default_rng``.
+    """
+    gen = np.random.default_rng([master_seed, start])
+    m = z.shape[0]
+    fast = min(m, (1 << 32) - start) if isinstance(master_seed, (int, np.integer)) else 0
+    if fast > 1:
+        states = _pcg64_states(int(master_seed), start, fast)
+        if gen.bit_generator.state["state"] != dict(zip(("state", "inc"), states[0])):
+            raise RuntimeError(
+                f"vectorized seeding disagrees with numpy's default_rng at trial {start}"
+            )
+    gen.standard_normal(out=z[0])
+    for i in range(1, fast):
+        state, inc = states[i]
+        gen.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        gen.standard_normal(out=z[i])
+    for i in range(max(fast, 1), m):
+        np.random.default_rng([master_seed, start + i]).standard_normal(out=z[i])
 
 
 def _simulate_batch(start, stop, plans, total, master_seed, init_std):
@@ -159,8 +256,7 @@ def _simulate_batch(start, stop, plans, total, master_seed, init_std):
     """
     m = stop - start
     z = np.empty((m, total))
-    for i in range(m):
-        np.random.default_rng([master_seed, start + i]).standard_normal(out=z[i])
+    _fill_normals(master_seed, start, z)
 
     x = init_std * z[:, :2]
     at = 2

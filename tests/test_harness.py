@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import levamp.harness as harness
 from levamp.dynamics import base_model, propagate
@@ -149,6 +151,52 @@ def test_run_ensemble_rejects_bad_arguments():
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             run_ensemble(AMP, PARAMS, 10, 1, workers=workers)
+    # numpy's own seeding rejects these, on the first trial of a batch
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        run_ensemble(AMP, PARAMS, 10, -1)
+    for seed in (1.5, np.float64(2.0)):
+        with pytest.raises(TypeError, match="^seed must be integer$"):
+            run_ensemble(AMP, PARAMS, 10, seed)
+
+
+def test_simulate_trial_rejects_bad_seeds():
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        simulate_trial(AMP, PARAMS, 1, -1)
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        simulate_trial(AMP, PARAMS, -1, 0)
+    with pytest.raises(TypeError, match="^seed must be integer$"):
+        simulate_trial(AMP, PARAMS, 1.5, 0)
+
+
+# Masters of one to seven 32-bit words, around each word boundary.
+EDGE_MASTERS = [0, 1, 20260819, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1, 3**60,
+                2**96, 2**127 + 5, 2**128 - 1, 2**200 + 3]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    master=st.one_of(st.sampled_from(EDGE_MASTERS), st.integers(0, 2**128 - 1)),
+    start=st.one_of(st.integers(0, 40), st.integers(2**32 - 40, 2**32 + 4)),
+    m=st.integers(1, 9),
+)
+@example(master=20260819, start=2**32 - 4, m=9)  # straddles trial index 2**32
+@example(master=np.uint64(2**64 - 1), start=0, m=3)
+def test_batched_seeding_draws_numpys_own_streams(master, start, m):
+    """Every row of a batch is the stream of default_rng([master, i]), also
+    for batches that reach past trial index 2**32 (one 32-bit word)."""
+    z = np.empty((m, 7))
+    harness._fill_normals(master, start, z)
+    for i in range(m):
+        want = np.random.default_rng([master, start + i]).standard_normal(7)
+        assert np.array_equal(z[i], want)
+
+
+def test_seeding_that_disagrees_with_numpy_stops_the_run(monkeypatch):
+    """A changed hash constant (as a numpy that reseeds differently would
+    cause) fails on a batch's first trial, not silently."""
+    monkeypatch.setattr(harness, "_MULT_B", harness._MULT_B ^ 2)
+    with pytest.raises(RuntimeError, match="disagrees with numpy's default_rng at trial 0$"):
+        run_ensemble(AMP, PARAMS, 4, 1)
 
 
 def test_non_finite_trials_abort_the_run(monkeypatch):

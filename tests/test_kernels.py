@@ -158,7 +158,10 @@ def test_chunked_record_batches_reproduce_the_full_batch():
 
 def test_chunked_records_retrodict_to_the_same_bits():
     """A 256-row batch, its rows one at a time and split batches give
-    identical means: each row sums over the record in one fixed order."""
+    identical means: each row sums over the record in one fixed order.
+    So does every row copied alone into a fresh buffer at each 8-byte
+    offset of a 64-byte line, at record lengths around the sum's vector
+    widths and at a 12-period readout's."""
     y = np.ascontiguousarray(np.random.default_rng(11).standard_normal((256, N)))
     whole = filter_backward(y, WEIGHTS)
     singles = np.vstack([filter_backward(y[i:i + 1], WEIGHTS) for i in range(256)])
@@ -168,6 +171,18 @@ def test_chunked_records_retrodict_to_the_same_bits():
     )
     assert np.array_equal(whole, singles)
     assert np.array_equal(whole, split)
+
+    rng = np.random.default_rng(12)
+    for n in (7, 63, 64, 65, 1000, 1001, 2400):
+        weights = rng.standard_normal((n, 2))
+        y = rng.standard_normal((64, n))
+        whole = filter_backward(y, weights)
+        for i in range(64):
+            for offset in range(8):
+                buf = np.empty((1, n + 8))
+                buf[0, offset:offset + n] = y[i]
+                row = filter_backward(buf[:, offset:offset + n], weights)
+                assert np.array_equal(row[0], whole[i]), (n, i, offset)
 
 
 def test_all_noise_off_collapses_the_ensemble():
