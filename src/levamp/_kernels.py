@@ -5,9 +5,11 @@ repeated for thousands of steps across hundreds of trials.  It runs as
 a blocked prefix sum (Blelloch, CMU-CS-90-190, 1990): within a block of
 up to BLOCK steps, each trial's noise is moved into the frame of the
 block's first step, summed with one cumsum along the step axis and
-moved back, so Python loops over blocks, not steps.  Retrodiction
-needs no recursion per trial: its mean is a fixed linear functional of
-the record, mean = record · weights, summed per row against contiguous
+moved back, so Python loops over blocks, not steps; the cumsum is over
+complex numbers whose real and imaginary parts are the frame's two
+components, so it runs both chains at once.  Retrodiction needs no
+recursion per trial: its mean is a fixed linear functional of the
+record, mean = record · weights, summed per row against contiguous
 weight rows in a fixed order.  A batch of one serves single-trial
 replay with the same bits.
 
@@ -23,7 +25,8 @@ import math
 import numpy as np
 
 # Steps per scan block.  64 to 512 time the same; the scan's scratch is
-# 4 m BLOCK doubles, so the smallest keeps a 256-trial batch's at 0.5 MiB.
+# 4 m BLOCK doubles (a complex (m, BLOCK + 1) frame sum and (m, BLOCK, 2)
+# lanes), so the smallest keeps a 256-trial batch's at 0.5 MiB.
 BLOCK = 64
 
 
@@ -71,7 +74,7 @@ def powers(f: np.ndarray, l: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     return fwd, np.ascontiguousarray((back[1:] @ l).transpose(1, 0, 2))
 
 
-def _scan(x, fwd, g, w, record=None):
+def _scan(x, fwd, g, w, y=None, q=None):
     """Evolve x_{k+1} = F x_k + L w_k for every trial, one block at a time.
 
     ``fwd`` and ``g`` come from :func:`powers`; the block length b is
@@ -80,47 +83,37 @@ def _scan(x, fwd, g, w, record=None):
 
         x_{k0+j} = F^j (x_{k0} + sum_{i<j} F^-(i+1) L w_{k0+i}),
 
-    so the block is one cumsum along the step axis and only its final
-    state is carried in Python.  ``record`` is None or (y, v, sqrt_k,
-    noise_scale), and then y[:, k] = sqrt_k Q_k + noise_scale v[:, k] is
-    written with Q_k the position before step k.  Every operation is
+    so each block is one complex cumsum along the step axis (its real
+    and imaginary parts are the frame's two components) and only its
+    final state is carried in Python.  Where the record ``y``, (m, n),
+    is given, sqrt_k Q_k is added to y[:, k], with Q_k the position
+    before step k and q[j] = sqrt_k F^j[0].  Every operation is
     elementwise or a cumsum along a row, so a row's bits never depend on
     the batch.  Needs F^-j finite for j <= BLOCK, as it is for every
     model's F, whose determinant is 1.  Returns the final states.
     """
     m, n = w.shape[0], w.shape[1]
-    if n == 0:
-        return x.copy()
     b = g.shape[1]
-    if record is not None:
-        y, v, sqrt_k, noise_scale = record
-        q0, q1 = sqrt_k * fwd[:, 0, 0], sqrt_k * fwd[:, 0, 1]
-    # s[c, :, j] is component c of x_{k0} + sum_{i<j} F^-(i+1) L w_{k0+i}.
-    s = np.empty((2, m, b + 1))
-    wg = np.empty((m, b, 2))
-    tmp = wg.reshape(m, 2 * b)  # the record's scratch, once wg is summed into s
+    # s[:, j] is x_{k0} + sum_{i<j} F^-(i+1) L w_{k0+i}, component c in
+    # float lane c of s2; column 0 carries the state from block to block.
+    s = np.empty((m, b + 1), dtype=complex)
+    s2 = s.view(np.float64).reshape(m, b + 1, 2)
+    s2[:, 0] = x
+    lanes = np.empty((m, b, 2))
     for k0 in range(0, n, b):
         nb = min(b, n - k0)
         steps = slice(k0, k0 + nb)
-        sb = s[:, :, :nb + 1]
-        t = tmp[:, :nb]
-        lanes = wg[:, :nb]
-        sb[:, :, 0] = x.T
         for c in (0, 1):
-            np.multiply(w[:, steps], g[c, :nb], out=lanes)
-            np.add(lanes[:, :, 0], lanes[:, :, 1], out=sb[c, :, 1:])
-        np.cumsum(sb, axis=2, out=sb)
-        p = fwd[nb]
-        x = np.stack(
-            [p[0, 0] * sb[0, :, nb] + p[0, 1] * sb[1, :, nb],
-             p[1, 0] * sb[0, :, nb] + p[1, 1] * sb[1, :, nb]],
-            axis=1,
-        )
-        if record is not None:
-            out = np.multiply(sb[0, :, :nb], q0[:nb], out=y[:, steps])
-            out += np.multiply(sb[1, :, :nb], q1[:nb], out=t)
-            out += np.multiply(v[:, steps], noise_scale, out=t)
-    return x
+            np.multiply(w[:, steps], g[c, :nb], out=lanes[:, :nb])
+            np.add(lanes[:, :nb, 0], lanes[:, :nb, 1], out=s2[:, 1:nb + 1, c])
+        np.cumsum(s[:, :nb + 1], axis=1, out=s[:, :nb + 1])
+        if y is not None:
+            t = np.multiply(s2[:, :nb], q[:nb], out=lanes[:, :nb])
+            y[:, steps] += np.add(t[:, :, 0], t[:, :, 1], out=t[:, :, 0])
+        p, end = fwd[nb], s2[:, nb]
+        s2[:, 0, 0] = p[0, 0] * end[:, 0] + p[0, 1] * end[:, 1]
+        s2[:, 0, 1] = p[1, 0] * end[:, 0] + p[1, 1] * end[:, 1]
+    return s2[:, 0].copy()
 
 
 def roll(x: np.ndarray, fwd: np.ndarray, g: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -147,8 +140,8 @@ def roll_record(
     y_k = sqrt_k * Q_k + noise_scale * v_k with v: (m, n) normals.
     Returns (final states (m, 2), record (m, n)).
     """
-    y = np.empty(v.shape)
-    return _scan(x, fwd, g, w, (y, v, sqrt_k, noise_scale)), y
+    y = noise_scale * v
+    return _scan(x, fwd, g, w, y, sqrt_k * fwd[:, 0]), y
 
 
 def filter_backward(y: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -48,8 +48,17 @@ from .state import GaussianState, apply_impulse
 # draws and readout records (a trial past it runs alone).
 BATCH_BYTES = 8 << 20
 DEFAULT_DT_PER_PERIOD = 200
-DEFAULT_WORKERS = os.cpu_count() or 1
 MIN_STATS_TRIALS = 10
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may use: its affinity mask (a cpuset or taskset narrows it)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+DEFAULT_WORKERS = _usable_cpus()
 
 
 def model_for_segment(params: OscillatorParams, segment: Segment) -> DynamicsModel:
@@ -103,10 +112,9 @@ class Ensemble:
 @dataclass(frozen=True, eq=False)
 class _SegmentPlan:
     """One simulated segment: add ``kick_dp`` to P unless it is None, then
-    take ``n_steps`` steps x -> F x + L w, recording where ``sqrt_k`` > 0.
+    take ``n_steps`` steps x -> F x + L w, measuring where ``sqrt_k`` > 0.
     ``fwd`` and ``g`` are ``_kernels.powers(F, L, n_steps)``."""
 
-    t_begin: float
     kick_dp: float | None
     n_steps: int
     dt: float
@@ -126,7 +134,7 @@ def _plan_segments(
     The readout is the last plan, and a kick rides on the plan after it.
     Each trial draws all of its normals in one call, laid out as 2 for
     the initial state, then per plan 2 n process normals, then n record
-    normals where it records.  The layout depends only on the schedule,
+    normals where it measures.  The layout depends only on the schedule,
     never on data.  Cached, as every replayed trial and every config
     check plans the same schedule again; the plans' arrays are read-only.
     """
@@ -134,7 +142,7 @@ def _plan_segments(
     plans: list[_SegmentPlan] = []
     total = 2
     kick_dp = None
-    for t_begin, _, seg in schedule.boundaries():
+    for seg in schedule.segments:
         if seg.kind == "kick":
             kick_dp = seg.kick_dp
             continue
@@ -149,7 +157,7 @@ def _plan_segments(
         total += (3 if sqrt_k > 0.0 else 2) * n_steps
         fwd, g = _kernels.powers(f, _kernels.chol2x2(qd), n_steps)
         fwd.flags.writeable = g.flags.writeable = False
-        plans.append(_SegmentPlan(t_begin, kick_dp, n_steps, dt, fwd, g, sqrt_k))
+        plans.append(_SegmentPlan(kick_dp, n_steps, dt, fwd, g, sqrt_k))
         kick_dp = None
     return tuple(plans), total
 
@@ -251,8 +259,9 @@ def _fill_normals(master_seed, start: int, z: np.ndarray) -> None:
 def _simulate_batch(start, stop, plans, total, master_seed, init_std):
     """Simulate trials [start, stop), each drawing ``total`` normals.
 
-    Returns the true states at t_zero, (m, 2), and one (plan, records)
-    pair per measured segment in timeline order, records being (m, n).
+    Returns the true states at t_zero, (m, 2), and the readout record,
+    (m, n).  A segment before the readout that measures still steps over
+    its n record normals, so every trial keeps its draw layout.
     """
     m = stop - start
     z = np.empty((m, total))
@@ -260,24 +269,18 @@ def _simulate_batch(start, stop, plans, total, master_seed, init_std):
 
     x = init_std * z[:, :2]
     at = 2
-    records = []
     for plan in plans:
         if plan.kick_dp is not None:
             x[:, 1] += plan.kick_dp
-        if plan is plans[-1]:
-            truths = x.copy()
         n = plan.n_steps
         w = z[:, at:at + 2 * n].reshape(m, n, 2)
-        at += 2 * n
-        if plan.sqrt_k > 0.0:
-            x, y = _kernels.roll_record(
-                x, plan.fwd, plan.g, w, z[:, at:at + n], plan.sqrt_k, 1.0 / math.sqrt(plan.dt)
-            )
-            at += n
-            records.append((plan, y))
-        else:
-            x = _kernels.roll(x, plan.fwd, plan.g, w)
-    return truths, records
+        if plan is plans[-1]:
+            v = z[:, at + 2 * n:at + 3 * n]
+            return x, _kernels.roll_record(
+                x, plan.fwd, plan.g, w, v, plan.sqrt_k, 1.0 / math.sqrt(plan.dt)
+            )[1]
+        x = _kernels.roll(x, plan.fwd, plan.g, w)
+        at += (3 if plan.sqrt_k > 0.0 else 2) * n
 
 
 def run_ensemble(
@@ -311,11 +314,11 @@ def run_ensemble(
     truths = np.empty((n_trials, 2))
 
     def run_batch(start: int) -> None:
-        # A function of its own, so the batch's draws and records are
+        # A function of its own, so the batch's draws and record are
         # freed on return, before the next batch draws.
         stop = min(start + batch, n_trials)
-        batch_truths, records = _simulate_batch(start, stop, plans, total, master_seed, init_std)
-        est = _kernels.filter_backward(records[-1][1], weights)
+        batch_truths, y = _simulate_batch(start, stop, plans, total, master_seed, init_std)
+        est = _kernels.filter_backward(y, weights)
         bad = np.flatnonzero(~np.isfinite(np.hstack([est, batch_truths])).all(axis=1))
         if bad.size:
             raise RuntimeError(
@@ -352,25 +355,25 @@ def simulate_trial(
     *,
     dt_per_period: int = DEFAULT_DT_PER_PERIOD,
 ) -> tuple[np.ndarray, list[MeasurementRecord]]:
-    """Re-run one trial, returning its true state at t_zero and records.
+    """Re-run one trial, returning its true state at t_zero and its readout record.
 
     This is :func:`run_ensemble`'s simulation at a batch of one, so the
-    truth equals that trial's ensemble row bit for bit.  The readout
-    record starts exactly at t_zero, so the records fed through
-    :func:`levamp.estimation.estimate_trial_outcome` reproduce the
-    outcome's mean and covariance bit for bit: the replay reads the same
-    cached retrodiction weights and sums each record row in the same order.
+    truth equals that trial's ensemble row bit for bit.  The list holds
+    the readout record alone, which starts exactly at t_zero, so feeding
+    it through :func:`levamp.estimation.estimate_trial_outcome`
+    reproduces the outcome's mean and covariance bit for bit: the replay
+    reads the same cached retrodiction weights and sums the record in
+    the same order.
     """
     plans, total = _plan_segments(schedule, params, dt_per_period)
-    truths, records = _simulate_batch(
+    truths, y = _simulate_batch(
         trial_index, trial_index + 1, plans, total, master_seed, _trial_init_std(params)
     )
-    return truths[0], [
-        MeasurementRecord(
-            t0=plan.t_begin, dt=plan.dt, samples=y[0], gate=np.ones(plan.n_steps, dtype=bool)
-        )
-        for plan, y in records
-    ]
+    ro = plans[-1]
+    record = MeasurementRecord(
+        t0=schedule.t_zero, dt=ro.dt, samples=y[0], gate=np.ones(ro.n_steps, dtype=bool)
+    )
+    return truths[0], [record]
 
 
 def run_schedule_noiseless(

@@ -145,6 +145,19 @@ def test_ensemble_estimation_covariance_matches_the_schedule():
     assert np.allclose(ens.est_cov, cov_target, rtol=0.0, atol=1e-12)
 
 
+def test_default_workers_count_the_cpus_this_process_may_use(monkeypatch):
+    """Under a one-CPU affinity mask on a 64-CPU host, one worker; where
+    the platform has no affinity mask, the host's count, or 1 unknown."""
+    assert harness.DEFAULT_WORKERS == harness._usable_cpus()
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert harness._usable_cpus() == 1
+    monkeypatch.delattr(harness.os, "sched_getaffinity")
+    assert harness._usable_cpus() == 64
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert harness._usable_cpus() == 1
+
+
 def test_run_ensemble_rejects_bad_arguments():
     with pytest.raises(ValueError, match="n_trials"):
         run_ensemble(AMP, PARAMS, 0, 1)
