@@ -14,8 +14,9 @@ weight rows in a fixed order.  A batch of one serves single-trial
 replay with the same bits.
 
 Array layout is trial-major: states ``x`` are (m, 2), per-step noise
-``w`` is (m, n, 2), records ``y`` are (m, n).  All kernels return new
-arrays and never mutate their inputs.
+``w`` is (m, n, 2), records ``y`` are (m, n).  The kernels never mutate
+their inputs; they return new arrays, except that :func:`roll_record`
+writes its record into a caller's buffer where it is given one.
 """
 
 from __future__ import annotations
@@ -133,14 +134,16 @@ def roll_record(
     v: np.ndarray,
     sqrt_k: float,
     noise_scale: float,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Same recursion as :func:`roll` plus a position record.
 
     Sample k reads the state before step k:
     y_k = sqrt_k * Q_k + noise_scale * v_k with v: (m, n) normals.
-    Returns (final states (m, 2), record (m, n)).
+    Returns (final states (m, 2), record (m, n)); the record is written
+    into ``out``, (m, n), where it is given.
     """
-    y = noise_scale * v
+    y = np.multiply(noise_scale, v, out=out)
     return _scan(x, fwd, g, w, y, sqrt_k * fwd[:, 0]), y
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
-from .dynamics import MIN_STEPS_PER_PERIOD
+from .dynamics import MIN_STEPS_PER_PERIOD, CovarianceError
+from .estimation import prior_dependence, readout_model
 from .harness import MIN_STATS_TRIALS, _plan_segments
 from .params import OscillatorParams, kev_c_to_momentum, momentum_to_kev_c
 from .protocol import FEEDBACK_HOLD_TIME_CONSTANTS, build_for_ratio
@@ -34,6 +35,12 @@ R_MAX = 6.0
 # (harness.BATCH_BYTES) then holds a single trial.  The presets plan
 # about 3200, the selftest about 7400.
 MAX_DRAWS_PER_TRIAL = 1_000_000
+
+# How far the retrodiction prior may set the reported covariance: widening
+# it tenfold may move the covariance's diagonal by this much, relative.
+# The presets move it 4.5e-7; gamma_qb_hz = 1 moves it 0.53 %, and at
+# 0.1 Hz (5.3 %) the covariance already overstates the real error.
+MAX_PRIOR_DEPENDENCE = 0.01
 
 class ConfigError(ValueError):
     """Raised for malformed or out-of-range run configuration."""
@@ -162,10 +169,11 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
     # R_MAX schedules bound every schedule this config can run.
     readout = readout_periods * params.period_s
     try:
-        draws = max(
-            _plan_segments(build_for_ratio(params, r, 0.0, readout), params, dt_per_period)[1]
+        planned = [
+            _plan_segments(build_for_ratio(params, r, 0.0, readout), params, dt_per_period)
             for r in (1.0, R_MAX)
-        )
+        ]
+        draws = max(total for _, total in planned)
     except OverflowError:  # a step count or step length past float range
         draws = math.inf
     if draws > MAX_DRAWS_PER_TRIAL:
@@ -173,6 +181,20 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
             f"config keys 'readout_periods' and 'dt_per_period' must plan at most "
             f"{MAX_DRAWS_PER_TRIAL} normal draws per trial, got {draws:.3g} from "
             f"readout_periods = {readout_periods!r}, dt_per_period = {dt_per_period!r}"
+        )
+    # Every ratio reads out through the same model, steps and samples.
+    ro = planned[0][0][-1]
+    try:
+        dependence = prior_dependence(readout_model(params), ro.dt, ro.n_steps)
+    except (ValueError, CovarianceError):
+        dependence = math.inf
+    if not dependence <= MAX_PRIOR_DEPENDENCE:
+        raise ConfigError(
+            f"config keys 'eta', 'gamma_qb_hz' and 'readout_periods' must give a readout "
+            f"that decides the estimate, not its prior: widening the prior tenfold moves "
+            f"the estimate's covariance by {dependence:.3g}, past {MAX_PRIOR_DEPENDENCE:g}, "
+            f"with eta = {params.eta!r}, gamma_qb_hz = {params.gamma_qb_hz!r}, "
+            f"readout_periods = {readout_periods!r}"
         )
 
     return RunConfig(

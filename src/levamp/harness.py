@@ -14,10 +14,13 @@ set by the schedule alone.  A batch computes those generators' seeds
 in one vectorized pass, bit-identical to ``default_rng``, and checks
 the pass against ``default_rng`` on its first trial.  An ensemble is
 split once, into batches whose draws and readout records fit in
-BATCH_BYTES; each batch is one thread task, so a thread holds one batch
-in memory.  The kernels give a trial the same bits in any batch and the
-reduction is an ordered write by trial index, so results are
-bit-identical for any worker count.
+BATCH_BYTES and that spread the trials over the workers.  The batches
+are dealt round-robin to lanes, at most one per worker, and each lane
+runs its batches in order through one draw buffer and one record buffer
+that the caller allocates: lane 0 on the calling thread, the others on
+one process-wide thread pool.  The kernels give a trial the same bits in
+any batch and the reduction is an ordered write by trial index, so
+results are bit-identical for any worker count.
 
 The per-trial noise sources and their budget: the thermal preparation
 contributes variance 2 n + 1 to the amplified position, the finite
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -44,8 +47,8 @@ from .protocol import MEASURED_KINDS, ProtocolSchedule, Segment, build_for_ratio
 from .records import MeasurementRecord
 from .state import GaussianState, apply_impulse
 
-# The bytes a batch of trials, one thread task, may hold in normal
-# draws and readout records (a trial past it runs alone).
+# The bytes a batch of trials may hold in normal draws and readout
+# records (a trial past it runs alone); a lane's buffers hold one batch.
 BATCH_BYTES = 8 << 20
 DEFAULT_DT_PER_PERIOD = 200
 MIN_STATS_TRIALS = 10
@@ -256,15 +259,17 @@ def _fill_normals(master_seed, start: int, z: np.ndarray) -> None:
         np.random.default_rng([master_seed, start + i]).standard_normal(out=z[i])
 
 
-def _simulate_batch(start, stop, plans, total, master_seed, init_std):
-    """Simulate trials [start, stop), each drawing ``total`` normals.
+def _simulate_batch(start, stop, plans, master_seed, init_std, z, y):
+    """Simulate trials [start, stop) into the rows of the buffers z and y.
 
-    Returns the true states at t_zero, (m, 2), and the readout record,
-    (m, n).  A segment before the readout that measures still steps over
-    its n record normals, so every trial keeps its draw layout.
+    z holds at least m = stop - start rows of each trial's normals, y as
+    many rows of readout samples.  Returns the true states at t_zero,
+    (m, 2), and the readout record, y[:m].  A segment before the readout
+    that measures still steps over its n record normals, so every trial
+    keeps its draw layout.
     """
     m = stop - start
-    z = np.empty((m, total))
+    z = z[:m]
     _fill_normals(master_seed, start, z)
 
     x = init_std * z[:, :2]
@@ -277,10 +282,16 @@ def _simulate_batch(start, stop, plans, total, master_seed, init_std):
         if plan is plans[-1]:
             v = z[:, at + 2 * n:at + 3 * n]
             return x, _kernels.roll_record(
-                x, plan.fwd, plan.g, w, v, plan.sqrt_k, 1.0 / math.sqrt(plan.dt)
+                x, plan.fwd, plan.g, w, v, plan.sqrt_k, 1.0 / math.sqrt(plan.dt), out=y[:m]
             )[1]
         x = _kernels.roll(x, plan.fwd, plan.g, w)
         at += (3 if plan.sqrt_k > 0.0 else 2) * n
+
+
+@lru_cache(maxsize=None)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process-wide pool that runs lanes 1 to ``workers`` - 1, made on first use."""
+    return ThreadPoolExecutor(max_workers=workers - 1, thread_name_prefix="levamp")
 
 
 def run_ensemble(
@@ -296,8 +307,13 @@ def run_ensemble(
 
     Each trial starts from the thermal preparation at the end of the
     feedback hold.  The result is bit-identical for any ``workers`` >= 1.
-    Each thread holds one batch at a time: at most BATCH_BYTES of draws
-    and readout record, or one trial where a trial needs more.
+    A batch holds at most BATCH_BYTES of draws and readout record (one
+    trial where a trial needs more) and at most ceil(n_trials / workers)
+    trials, so a 200-trial ensemble on two workers runs as two batches
+    at once.  Lane k of min(workers, batches) runs batches k, k + lanes,
+    ... through its own draw and record buffers, made once per call.
+    Lane 0 runs on the calling thread, the others on one process-wide
+    pool of ``workers`` - 1 threads.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -308,34 +324,46 @@ def run_ensemble(
 
     weights, est_cov = retrodiction_schedule(readout_model(params), ro.dt, ro.n_steps)
     init_std = _trial_init_std(params)
-    batch = max(1, BATCH_BYTES // (8 * (total + ro.n_steps)))
+    batch = max(1, min(BATCH_BYTES // (8 * (total + ro.n_steps)), -(-n_trials // workers)))
+    starts = range(0, n_trials, batch)
+    lanes = min(workers, len(starts))
 
     outcomes = np.empty((n_trials, 2))
     truths = np.empty((n_trials, 2))
 
-    def run_batch(start: int) -> None:
-        # A function of its own, so the batch's draws and record are
-        # freed on return, before the next batch draws.
-        stop = min(start + batch, n_trials)
-        batch_truths, y = _simulate_batch(start, stop, plans, total, master_seed, init_std)
-        est = _kernels.filter_backward(y, weights)
-        bad = np.flatnonzero(~np.isfinite(np.hstack([est, batch_truths])).all(axis=1))
-        if bad.size:
-            raise RuntimeError(
-                f"trial {start + int(bad[0])} produced a non-finite result; ensemble aborted"
-            )
-        outcomes[start:stop] = est
-        truths[start:stop] = batch_truths
+    def lane(k: int, z: np.ndarray, y: np.ndarray) -> int | None:
+        """Run batches k, k + lanes, ... in order; returns the first trial
+        with a non-finite result, which ends the lane, or None."""
+        for start in starts[k::lanes]:
+            stop = min(start + batch, n_trials)
+            batch_truths, record = _simulate_batch(start, stop, plans, master_seed, init_std, z, y)
+            est = _kernels.filter_backward(record, weights)
+            bad = np.flatnonzero(~np.isfinite(np.hstack([est, batch_truths])).all(axis=1))
+            if bad.size:
+                return start + int(bad[0])
+            outcomes[start:stop] = est
+            truths[start:stop] = batch_truths
+        return None
 
-    # The first failing batch stops the run: pool.map raises in batch
-    # order and cancels the rest, so every worker count names the same trial.
-    starts = range(0, n_trials, batch)
-    if workers == 1 or len(starts) == 1:
-        for start in starts:
-            run_batch(start)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_batch, starts))
+    # Lane k draws into draws[k] and records into records[k].  One array
+    # of each for all lanes, not one per lane: a preset ensemble then
+    # allocates what a one-lane call does, and glibc hands the next call
+    # the heap this one frees.  Per-lane arrays half that size were
+    # trimmed from the heap after each call and faulted in again, 1700
+    # pages per ensemble.
+    draws = np.empty((lanes, batch, total))
+    records = np.empty((lanes, batch, ro.n_steps))
+    futures = [_pool(workers).submit(lane, k, draws[k], records[k]) for k in range(1, lanes)]
+    try:
+        firsts = [lane(0, draws[0], records[0])]
+    finally:
+        wait(futures)  # no lane outlives the call, even when one raises
+    firsts += [future.result() for future in futures]
+    # Each lane's first bad trial is its lowest, so the least of them is
+    # the run's: every worker count names the same trial.
+    bad = [i for i in firsts if i is not None]
+    if bad:
+        raise RuntimeError(f"trial {min(bad)} produced a non-finite result; ensemble aborted")
 
     return Ensemble(
         r=schedule.squeeze_ratio,
@@ -366,10 +394,11 @@ def simulate_trial(
     the same order.
     """
     plans, total = _plan_segments(schedule, params, dt_per_period)
-    truths, y = _simulate_batch(
-        trial_index, trial_index + 1, plans, total, master_seed, _trial_init_std(params)
-    )
     ro = plans[-1]
+    truths, y = _simulate_batch(
+        trial_index, trial_index + 1, plans, master_seed, _trial_init_std(params),
+        np.empty((1, total)), np.empty((1, ro.n_steps)),
+    )
     record = MeasurementRecord(
         t0=schedule.t_zero, dt=ro.dt, samples=y[0], gate=np.ones(ro.n_steps, dtype=bool)
     )

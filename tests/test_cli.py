@@ -49,8 +49,8 @@ def test_every_preset_records_its_command(preset, tmp_path):
 
 
 def test_reruns_and_worker_counts_are_byte_identical(tmp_path):
-    dirs = [tmp_path / name for name in ("a", "b", "c")]
-    for path, workers in zip(dirs, ("2", "2", "1")):
+    dirs = [tmp_path / name for name in ("a", "b", "c", "d")]
+    for path, workers in zip(dirs, ("2", "2", "1", "3")):
         rc = run_cli(
             "run", "fig3-amplified", "--trials", "24", "--seed", "11",
             "--workers", workers, "--out", str(path),
@@ -209,6 +209,18 @@ def test_oversized_readout_exits_before_any_output(tmp_path, capsys):
     assert rc == 1
     assert not (tmp_path / "y").exists()
     assert "'readout_periods' and 'dt_per_period'" in capsys.readouterr().err
+
+
+def test_a_readout_that_the_prior_decides_exits_before_any_output(tmp_path, capsys):
+    """At gamma_qb_hz = 0.001 the readout carries almost nothing, so the
+    1e6 prior would set the reported spread; the run is refused."""
+    cfg = tmp_path / "weak.json"
+    cfg.write_text('{"gamma_qb_hz": 0.001}')
+    rc = run_cli("run", "fig3-amplified", "--config", str(cfg), "--out", str(tmp_path / "y"))
+    assert rc == 1
+    assert not (tmp_path / "y").exists()
+    err = capsys.readouterr().err
+    assert all(f"'{key}'" in err for key in ("eta", "gamma_qb_hz", "readout_periods"))
 
 
 @pytest.mark.parametrize("argv", [("run", "selftest"), ("selftest", "--seed", "1")])

@@ -183,6 +183,26 @@ def test_draws_per_trial_are_capped(raw):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "raw, refused",
+    [
+        ({}, False),
+        ({"gamma_qb_hz": 1.0}, False),
+        ({"gamma_qb_hz": 1.0, "eta": 1e-3, "readout_periods": 1.0}, True),
+        ({"gamma_qb_hz": 0.1}, True),
+        ({"eta": 1e-300}, True),
+    ],
+)
+def test_a_readout_that_the_prior_decides_is_refused(raw, refused):
+    """Widening the prior tenfold moves the covariance 4.5e-7 at the
+    defaults, 0.53 % at 1 Hz and 5.3 % at 0.1 Hz; past 1 % the config fails."""
+    if not refused:
+        config_from_dict(raw)
+        return
+    with pytest.raises(ConfigError, match="'eta', 'gamma_qb_hz' and 'readout_periods'"):
+        config_from_dict(raw)
+
+
 @pytest.mark.parametrize("readout_periods", [5.0, BUDGET_READOUT_PERIODS])
 def test_presets_and_selftest_plan_far_below_the_draw_cap(readout_periods):
     params = config_from_dict({}).params

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -225,7 +226,7 @@ def test_non_finite_trials_abort_the_run(monkeypatch):
             run_ensemble(AMP, PARAMS, 512, 1, workers=workers)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_the_first_bad_batch_stops_the_run(monkeypatch, workers):
     """Trials 300 and 600 go bad; the run names 300 for any worker count
     and, on one worker, simulates nothing past the batch that holds it."""
@@ -247,6 +248,106 @@ def test_the_first_bad_batch_stops_the_run(monkeypatch, workers):
         assert spans[0][0] == 0
         assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
         assert spans[-1][0] <= 300 < spans[-1][1]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_bad_trials_in_different_lanes_name_the_lowest(monkeypatch, workers):
+    """Trials 60 and 150 of a 200-trial ensemble go bad; on 2 and 3
+    workers they sit in different lanes, and every worker count names 60."""
+    real = harness._simulate_batch
+
+    def poisoned(start, stop, *args):
+        truths, records = real(start, stop, *args)
+        for bad in (60, 150):
+            if start <= bad < stop:
+                records[bad - start, 0] = np.nan
+        return truths, records
+
+    monkeypatch.setattr(harness, "_simulate_batch", poisoned)
+    with pytest.raises(RuntimeError, match=r"^trial 60 produced a non-finite result"):
+        run_ensemble(AMP, PARAMS, 200, 1, workers=workers)
+
+
+@pytest.mark.parametrize("r", [2.0, 1.0])
+def test_every_worker_count_splits_a_preset_ensemble_to_the_same_bits(r):
+    """A 200-trial, 5-period ensemble, one batch on one worker, runs as
+    2, 3 and 8 batches at once and keeps every bit."""
+    schedule = build_for_ratio(PARAMS, r, 0.0, 5.0 * PERIOD)
+    serial = run_ensemble(schedule, PARAMS, 200, 4711, workers=1)
+    for workers in (2, 3, 8):
+        split = run_ensemble(schedule, PARAMS, 200, 4711, workers=workers)
+        assert np.array_equal(split.outcomes, serial.outcomes)
+        assert np.array_equal(split.truths, serial.truths)
+
+
+def test_eight_lanes_switching_threads_often_keep_every_bit(monkeypatch):
+    """300 trials in batches of 7 over 8 lanes on fewer cores, with the
+    interpreter switching threads every microsecond: each lane writes only
+    its own rows, so the result is still the serial run's."""
+    serial = run_ensemble(AMP, PARAMS, 300, 777, workers=1)
+    plans, total = harness._plan_segments(AMP, PARAMS, harness.DEFAULT_DT_PER_PERIOD)
+    monkeypatch.setattr(harness, "BATCH_BYTES", 7 * 8 * (total + plans[-1].n_steps))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = run_ensemble(AMP, PARAMS, 300, 777, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(split.outcomes, serial.outcomes)
+    assert np.array_equal(split.truths, serial.truths)
+
+
+def test_the_thread_pool_is_made_once(monkeypatch):
+    made = []
+
+    class Spy(harness.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Spy)
+    for seed in (1, 2):
+        run_ensemble(AMP, PARAMS, 200, seed, workers=2)
+    assert len(made) <= 1
+
+
+def test_each_lane_draws_into_one_buffer_pair_for_all_its_batches(monkeypatch):
+    """2048 trials at 12 periods on 2 workers make 20 batches of at most
+    106 trials; lane k gets batches k, k + 2, ... and always the same
+    draw and record buffers, which no other lane shares."""
+    real = harness._simulate_batch
+    seen = {}
+
+    def spy(start, stop, plans, master_seed, init_std, z, y):
+        seen[start] = (z, y)
+        return real(start, stop, plans, master_seed, init_std, z, y)
+
+    monkeypatch.setattr(harness, "_simulate_batch", spy)
+    run_ensemble(build_for_ratio(PARAMS, R12, 0.0, 12.0 * PERIOD), PARAMS, 2048, 5, workers=2)
+    starts = sorted(seen)
+    assert len(starts) == 20
+    lanes = [seen[starts[0]], seen[starts[1]]]
+    for j, start in enumerate(starts):
+        z, y = seen[start]
+        assert z is lanes[j % 2][0] and y is lanes[j % 2][1]
+    buffers = [buf for pair in lanes for buf in pair]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(buffers) for b in buffers[i + 1:])
+
+
+def test_two_lanes_hold_no_more_than_one():
+    """Splitting a 200-trial ensemble over two lanes halves each lane's
+    buffers, so the traced peak stays within 0.5 MiB of one lane's."""
+    schedule = build_for_ratio(PARAMS, 2.0, 0.0, 5.0 * PERIOD)
+    peaks = {}
+    for workers in (1, 2):
+        run_ensemble(schedule, PARAMS, 200, 5, workers=workers)  # pool and caches, untraced
+        tracemalloc.start()
+        try:
+            run_ensemble(schedule, PARAMS, 200, 5, workers=workers)
+            peaks[workers] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= peaks[1] + (1 << 19)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
