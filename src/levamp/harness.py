@@ -294,6 +294,12 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=workers - 1, thread_name_prefix="levamp")
 
 
+# A forked child inherits the pools but not their threads, and would wait
+# on them forever; it makes its own.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def run_ensemble(
     schedule: ProtocolSchedule,
     params: OscillatorParams,

@@ -97,6 +97,12 @@ MUTANTS = (
         'raise RuntimeError(f"trial {bad[0]} produced',
         (T_HARNESS + "test_the_first_bad_batch_stops_the_run",),
     ),
+    Mutant(
+        "fork-keeps-parent-pool", HARNESS,
+        "    os.register_at_fork(after_in_child=_pool.cache_clear)\n",
+        "    pass\n",
+        (T_HARNESS + "test_a_forked_child_runs_its_own_lanes",),
+    ),
     # draw layout, CSV text, the fold
     Mutant(
         "step-over-unmeasured-record", HARNESS,

@@ -2,8 +2,11 @@
 
 import dataclasses
 import math
+import multiprocessing
+import os
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -309,6 +312,26 @@ def test_the_thread_pool_is_made_once(monkeypatch):
     for seed in (1, 2):
         run_ensemble(AMP, PARAMS, 200, seed, workers=2)
     assert len(made) <= 1
+
+
+def _run_two_lanes():
+    run_ensemble(AMP, PARAMS, 200, 1, workers=2)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_runs_its_own_lanes():
+    """The child of a fork inherits the parent's pool without its
+    threads; it must start its own instead of waiting on them."""
+    _run_two_lanes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+        child = multiprocessing.get_context("fork").Process(target=_run_two_lanes)
+        child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
 
 
 def test_each_lane_draws_into_one_buffer_pair_for_all_its_batches(monkeypatch):
