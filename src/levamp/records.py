@@ -29,6 +29,11 @@ _HEADER = struct.Struct("<Qdd")
 _HEADER_END = len(MAGIC) + _HEADER.size
 
 _CSV_HEADER = ["t_s", "y", "gate"]
+_CSV_HEAD = ",".join(_CSV_HEADER) + "\r\n"
+# The separator bytes of one plain CSV row, in order.
+_PLAIN_ROW = np.frombuffer(b",,\r\n", np.uint8)
+# Turns a plain file's "\r\n" row ends into commas.
+_ROW_ENDS_TO_COMMAS = str.maketrans("\r", ",", "\n")
 
 
 @dataclass(frozen=True)
@@ -90,12 +95,18 @@ def write_record_csv(record: MeasurementRecord, path) -> None:
     """Write a record as CSV with mandatory header ``t_s, y, gate``.
 
     Times and samples are written with ``%.17g``, the gate as 0 or 1,
-    each row ended by ``\\r\\n`` as :mod:`csv` writes it.
+    each row ended by ``\\r\\n`` as :mod:`csv` writes it.  An empty
+    record writes the header alone, which :func:`read_record_csv`
+    refuses.
     """
-    rows = zip(record.times.tolist(), record.samples.tolist(), record.gate.tolist())
+    n = len(record)
+    values = [0] * (3 * n)
+    values[0::3] = record.times.tolist()
+    values[1::3] = record.samples.tolist()
+    values[2::3] = record.gate.tolist()
+    text = _CSV_HEAD + ("%.17g,%.17g,%d\r\n" * n) % tuple(values)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_CSV_HEADER) + "\r\n")
-        fh.write("".join(["%.17g,%.17g,%d\r\n" % row for row in rows]))
+        fh.write(text)
 
 
 def _row_ok(row: list[str]) -> bool:
@@ -106,6 +117,53 @@ def _row_ok(row: list[str]) -> bool:
     except ValueError:
         return False
     return g == "0" or (g == "1" and np.isfinite(y))
+
+
+def _plain_cells(data: bytes, text: str) -> list[str] | None:
+    """Every cell of a plain record CSV in file order, or None for any
+    other file.
+
+    A plain file is the exact header line and then rows of exactly two
+    commas, each ended by ``\\r\\n`` (the last row too), with no other
+    ``\\r`` or ``\\n``, no ``"``, no NUL (which :mod:`csv` refuses before
+    Python 3.11) and no cell, header cells included, longer than
+    :func:`csv.field_size_limit`.  :func:`csv.reader` splits such a file
+    at its commas and line ends and skips no line, so ``str.split``
+    gives the same cells.
+    """
+    if not text.startswith(_CSV_HEAD):
+        return None
+    # These bytes are ASCII, which no byte of a multi-byte UTF-8
+    # character matches, so the file's bytes hold the text's in order.
+    body = np.frombuffer(data, np.uint8)[len(_CSV_HEAD):]
+    is_sep = body == ord(",")
+    for byte in b'\r\n"\0':
+        is_sep |= body == byte
+    seps = body[is_sep]
+    if seps.size % 4 or not (seps.reshape(-1, 4) == _PLAIN_ROW).all():
+        return None
+    # each "\r" above must also sit right before its "\n"
+    if data.count(b"\r\n", len(_CSV_HEAD)) != seps.size // 4:
+        return None
+    cells = text[len(_CSV_HEAD):].translate(_ROW_ENDS_TO_COMMAS).split(",")
+    # text after the last row end holds no separator the check above sees
+    if cells.pop():
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, _CSV_HEADER + cells)) > limit:
+        return None
+    return cells
+
+
+def _csv_rows(text: str) -> tuple[tuple[int, ...], tuple[list[str], ...]]:
+    """The line number and fields of each non-blank row after the header,
+    as :func:`csv.reader` splits them."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header != _CSV_HEADER:
+        raise ValueError(f"expected header {_CSV_HEADER}, got {header}")
+    rows = [(reader.line_num, row) for row in reader if row]
+    return tuple(zip(*rows)) if rows else ((), ())
 
 
 def read_record_csv(path) -> MeasurementRecord:
@@ -121,7 +179,13 @@ def read_record_csv(path) -> MeasurementRecord:
     t0 + (n - 1) dt is not finite, and the first row k whose
     t_s is off t0 + k dt by more than 1e-6 dt plus (k + 2) ulp of the
     grid's largest time: rounding the timestamps alone moves them that
-    far.
+    far.  A file with no rows after the header, as an empty record
+    writes, raises "record CSV has no samples".
+
+    Every file :func:`write_record_csv` writes is plain, as
+    :func:`_plain_cells` defines it, and is split with ``str.split``;
+    any other file goes to :func:`csv.reader`.  Both give the same
+    record or the same error.
 
     CSV is for inspection; :func:`write_record_binary` (LKR1) is the
     exact replay form.  Far from t = 0 the rounded timestamps move the
@@ -136,40 +200,44 @@ def read_record_csv(path) -> MeasurementRecord:
         raise ValueError(
             f"byte {data[exc.start]:#04x} at offset {exc.start} is not UTF-8"
         ) from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header != _CSV_HEADER:
-        raise ValueError(f"expected header {_CSV_HEADER}, got {header}")
-    rows = [(reader.line_num, row) for row in reader if row]
-    if not rows:
+    cells = _plain_cells(data, text)
+    if cells is None:
+        lines, rows = _csv_rows(text)
+        if set(map(len, rows)) == {3}:
+            cells = [cell for row in rows for cell in row]
+    else:
+        lines, rows = range(2, len(cells) // 3 + 2), None
+    n = len(lines)
+    if not n:
         raise ValueError("record CSV has no samples")
-    n = len(rows)
-    lines, fields = zip(*rows)
     try:
-        if set(map(len, fields)) != {3}:
+        if cells is None:
             raise ValueError
-        t, y, g = zip(*fields)
+        t, y, g = cells[0::3], cells[1::3], cells[2::3]
         times = np.fromiter(map(float, t), float, n)
         samples = np.fromiter(map(float, y), float, n)
         if not set(g) <= {"0", "1"}:
             raise ValueError
-        gate = np.fromiter(map("1".__eq__, g), bool, n)
+        # every gate is now the one character 0 or 1
+        gate = np.frombuffer("".join(g).encode(), np.uint8) == ord("1")
         if not np.isfinite(samples[gate]).all():
             raise ValueError
     except ValueError:
-        k = next(k for k, row in enumerate(fields) if not _row_ok(row))
+        if rows is None:
+            rows = [cells[i:i + 3] for i in range(0, 3 * n, 3)]
+        k = next(k for k, row in enumerate(rows) if not _row_ok(row))
         raise ValueError(
             f"line {lines[k]}: expected t_s,y,gate numbers with gate 0 or 1 and a finite "
-            f"gated-on y, got {fields[k]}"
+            f"gated-on y, got {rows[k]}"
         ) from None
     t0 = float(times[0])
     if not np.isfinite(t0):
-        raise ValueError(f"line {lines[0]}: t0 {t0!r} must be finite, got {fields[0]}")
+        raise ValueError(f"line {lines[0]}: t0 {t0!r} must be finite, got {cells[:3]}")
     dt = float(times[1] - times[0]) if n > 1 else 1.0
     if not (0.0 < dt < np.inf):
         raise ValueError(
             f"line {lines[1]}: dt {dt!r} from the first two t_s must be positive and finite, "
-            f"got {fields[1]}"
+            f"got {cells[3:6]}"
         )
     if not np.isfinite(t0 + (n - 1) * dt):
         raise ValueError(
@@ -184,7 +252,7 @@ def read_record_csv(path) -> MeasurementRecord:
         j = int(off[0])
         raise ValueError(
             f"line {lines[j]}: t_s is off the uniform grid t0 + k dt with t0 = "
-            f"{t0!r}, dt = {dt!r}, k = {j}, got {fields[j]}"
+            f"{t0!r}, dt = {dt!r}, k = {j}, got {cells[3 * j:3 * j + 3]}"
         )
     return MeasurementRecord(t0=t0, dt=dt, samples=samples, gate=gate)
 

@@ -40,8 +40,10 @@ class Mutant:
 HARNESS = "src/levamp/harness.py"
 KERNELS = "src/levamp/_kernels.py"
 ESTIMATION = "src/levamp/estimation.py"
+RECORDS = "src/levamp/records.py"
 T_HARNESS = "tests/test_harness.py::"
 T_KERNELS = "tests/test_kernels.py::"
+T_RECORDS = "tests/test_records.py::"
 
 MUTANTS = (
     # seeding
@@ -127,6 +129,37 @@ MUTANTS = (
         "prior=10.0 * PRIOR_SCALE)",
         "prior=PRIOR_SCALE)",
         ("tests/test_cli.py::test_a_readout_that_the_prior_decides_exits_before_any_output",),
+    ),
+    # record CSV: which files skip csv.reader
+    Mutant(
+        "plain-check-counts-commas-per-file", RECORDS,
+        "    if seps.size % 4 or not (seps.reshape(-1, 4) == _PLAIN_ROW).all():\n",
+        "    ends = seps[seps != ord(\",\")]\n"
+        "    if (ends.size % 2 or not (ends.reshape(-1, 2) == _PLAIN_ROW[2:]).all()\n"
+        "            or seps.size != 2 * ends.size):\n",
+        (T_RECORDS + "test_only_plain_files_skip_the_csv_reader_and_every_file_reads_like_the"
+         "_oracle[four-then-two-fields]",),
+    ),
+    Mutant(
+        "plain-file-may-quote", RECORDS,
+        """    for byte in b'\\r\\n"\\0':\n""",
+        """    for byte in b'\\r\\n\\0':\n""",
+        (T_RECORDS + "test_only_plain_files_skip_the_csv_reader_and_every_file_reads_like_the"
+         "_oracle[quoted-cell]",),
+    ),
+    Mutant(
+        "plain-file-may-part-cr-from-lf", RECORDS,
+        '    if data.count(b"\\r\\n", len(_CSV_HEAD)) != seps.size // 4:\n',
+        "    if False:\n",
+        (T_RECORDS + "test_only_plain_files_skip_the_csv_reader_and_every_file_reads_like_the"
+         "_oracle[cr-apart-from-lf]",),
+    ),
+    Mutant(
+        "plain-file-may-end-mid-row", RECORDS,
+        "    if cells.pop():\n        return None\n",
+        "    cells.pop()\n",
+        (T_RECORDS + "test_only_plain_files_skip_the_csv_reader_and_every_file_reads_like_the"
+         "_oracle[truncated-first-cell]",),
     ),
 )
 

@@ -34,7 +34,7 @@ def write_record_csv(record, path):
 
 
 def read_record_csv(path):
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _CSV_HEADER:

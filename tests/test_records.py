@@ -1,5 +1,7 @@
 """Measurement record container and its CSV / binary round trips."""
 
+import contextlib
+import csv
 import math
 import re
 import struct
@@ -421,3 +423,124 @@ def test_csv_reader_faults_match_the_row_at_a_time_oracle(tmp_path, lines, newli
     path = tmp_path / "bad.csv"
     path.write_bytes((newline.join(lines) + newline).encode())
     _assert_reads_like_the_oracle(path)
+
+
+def _is_utf8(data):
+    try:
+        data.decode()
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+_EDIT_BYTES = [*(bytes([c]) for c in b',\r\n"\0 1.e-a\x0b\x1c'), "\x85\u2028".encode()]
+
+
+@_ORACLE
+@given(
+    rec=csv_records(1, 5),
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, 1 << 16),
+            st.sampled_from(["replace", "insert", "delete"]),
+            st.sampled_from(_EDIT_BYTES),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    cut=st.none() | st.integers(0, 1 << 16),
+)
+def test_byte_edits_of_a_written_file_read_like_the_oracle(tmp_path, rec, edits, cut):
+    """Separator, quote, NUL and line-break bytes put into, or taken out
+    of, a written file anywhere, and the file maybe cut off after."""
+    data = bytearray(_written_bytes(tmp_path, rec))
+    for at, kind, byte in edits:
+        at %= len(data) + 1
+        data[at:at + (kind != "insert")] = b"" if kind == "delete" else byte
+    if cut is not None:
+        del data[cut % (len(data) + 1):]
+    # the oracle leaves undecodable bytes to the codec's own error
+    assume(_is_utf8(data))
+    path = tmp_path / "edited.csv"
+    path.write_bytes(data)
+    _assert_reads_like_the_oracle(path)
+
+
+_SPLIT_BY_CSV_READER = {
+    "quoted-cell": b't_s,y,gate\r\n0,"1.5",1\r\n1e-7,2.0,1\r\n',
+    "bare-lf": b"t_s,y,gate\n0,1.5,1\n1e-7,2.0,1\n",
+    "bare-cr-in-row": b"t_s,y,gate\r\n0,1.5\r,1\r\n1e-7,2.0,1\r\n",
+    "blank-line-mid-file": b"t_s,y,gate\r\n0,1.5,1\r\n\r\n1e-7,2.0,1\r\n",
+    "trailing-blank-line": b"t_s,y,gate\r\n0,1.5,1\r\n1e-7,2.0,1\r\n\r\n",
+    "no-final-line-break": b"t_s,y,gate\r\n0,1.5,1\r\n1e-7,2.0,1",
+    "bom": "\ufefft_s,y,gate\r\n0,1.5,1\r\n1e-7,2.0,1\r\n".encode(),
+    "nul-in-cell": b"t_s,y,gate\r\n0,1.5\x00,1\r\n1e-7,2.0,1\r\n",
+    # 2n commas over n rows, so a whole-file count would call it plain
+    "four-then-two-fields": b"t_s,y,gate\r\n0,1.5,1,9\r\n1e-7,2.0\r\n",
+    "cell-past-field-size-limit": b"t_s,y,gate\r\n0,1.5,1\r\n1e-7," + b"2" * 131073 + b",0\r\n",
+    # text after the last row end, with no separator the byte check sees
+    "truncated-first-cell": b"t_s,y,gate\r\n0,1.5,1\r\n1e-",
+    "header-then-fragment": b"t_s,y,gate\r\nabc",
+    "fragment-past-field-size-limit": b"t_s,y,gate\r\n0,1.5,1\r\n" + b"2" * 131073,
+    # a "\r" and "\n" in the right order, but not next to each other
+    "cr-apart-from-lf": b"t_s,y,gate\r\n0,1.5,1\r5\n1e-7,2.0,1\r\n",
+}
+_SPLIT_BY_STR_SPLIT = {
+    "one-row": b"t_s,y,gate\r\n0,1.5,1\r\n",
+    "header-only": b"t_s,y,gate\r\n",
+    "two-rows": b"t_s,y,gate\r\n0,1.5,1\r\n1e-7,2.0,0\r\n",
+    "faults-in-plain-rows": b"t_s,y,gate\r\n0,1.5,1\r\n1e-7,abc,7\r\n2e-7,,\r\n",
+    "non-ascii-cell": "t_s,y,gate\r\n0,1.5\u00b5,1\r\n1e-7,2.0,1\r\n".encode(),
+}
+
+
+@pytest.mark.parametrize(
+    "data, plain",
+    [(data, False) for data in _SPLIT_BY_CSV_READER.values()]
+    + [(data, True) for data in _SPLIT_BY_STR_SPLIT.values()],
+    ids=[*_SPLIT_BY_CSV_READER, *_SPLIT_BY_STR_SPLIT],
+)
+def test_only_plain_files_skip_the_csv_reader_and_every_file_reads_like_the_oracle(
+    tmp_path, monkeypatch, data, plain
+):
+    """A plain file (the exact header, rows of exactly two commas each
+    ended by CRLF, the last row too, no other CR or LF, no quote, no NUL, no cell past the
+    csv field size limit) is split with str.split; any other file goes
+    to csv.reader. Both read like the oracle."""
+    path = tmp_path / "rec.csv"
+    path.write_bytes(data)
+    _assert_reads_like_the_oracle(path)
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *a: calls.append(a) or reader(*a))
+    with contextlib.suppress(Exception):
+        read_record_csv(path)
+    assert len(calls) == (0 if plain else 1)
+
+
+@pytest.mark.parametrize("data", [b"t_s,y,gate\r\n", b"t_s,y,gate\r\n0,1.5,1\r\n"])
+def test_a_field_size_limit_below_the_header_cells_reads_like_the_oracle(tmp_path, data):
+    """The field size limit binds the header cells too: below their
+    length the file goes to csv.reader, which refuses it as the oracle
+    does."""
+    path = tmp_path / "rec.csv"
+    path.write_bytes(data)
+    old = csv.field_size_limit(3)
+    try:
+        _assert_reads_like_the_oracle(path)
+    finally:
+        csv.field_size_limit(old)
+
+
+@_PROPERTY
+@given(rec=csv_records())
+def test_every_written_file_is_split_without_the_csv_reader(tmp_path, monkeypatch, rec):
+    path = tmp_path / "rec.csv"
+    write_record_csv(rec, path)
+
+    def refuse(*args):
+        raise AssertionError("csv.reader was called on a written file")
+
+    monkeypatch.setattr(csv, "reader", refuse)
+    with contextlib.suppress(ValueError):
+        read_record_csv(path)
