@@ -19,11 +19,11 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
-from .dynamics import MIN_STEPS_PER_PERIOD, CovarianceError
+from .dynamics import DEFAULT_DT_PER_PERIOD, MIN_STEPS_PER_PERIOD, CovarianceError
 from .estimation import prior_dependence, readout_model
 from .harness import MIN_STATS_TRIALS, _plan_segments
 from .params import OscillatorParams, kev_c_to_momentum, momentum_to_kev_c
-from .protocol import FEEDBACK_HOLD_TIME_CONSTANTS, build_for_ratio
+from .protocol import DEFAULT_READOUT_PERIODS, FEEDBACK_HOLD_TIME_CONSTANTS, build_for_ratio
 
 # Squeezing beyond this is outside the validated regime: the soft trap
 # becomes so weak that static force gradients and anharmonicity, none of
@@ -52,8 +52,8 @@ class RunConfig:
     n_trials: int = 200
     r_grid: tuple[float, ...] = (1.0, 2.0, math.sqrt(12.0))
     tau_grid_ns: tuple[float, ...] = (100.0, 177.827941, 316.227766, 562.341325, 1000.0)
-    readout_periods: float = 5.0
-    dt_per_period: int = 200
+    readout_periods: float = DEFAULT_READOUT_PERIODS
+    dt_per_period: int = DEFAULT_DT_PER_PERIOD
 
 
 # The param keys are the OscillatorParams fields, except that the

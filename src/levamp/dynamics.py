@@ -37,6 +37,7 @@ import numpy as np
 from .state import GaussianState
 
 MIN_STEPS_PER_PERIOD = 50
+DEFAULT_DT_PER_PERIOD = 200
 
 
 class CovarianceError(RuntimeError):

@@ -42,6 +42,7 @@ import numpy as np
 
 from ._kernels import filter_backward
 from .dynamics import (
+    DEFAULT_DT_PER_PERIOD,
     CovarianceError,
     DynamicsModel,
     _check_dt,
@@ -211,7 +212,9 @@ def _fold_schedule(finv, qrev, sqrt_k, dt, gate, prior):
     return weights, cov
 
 
-def riccati_steady_state(model: DynamicsModel, steps_per_period: int = 200) -> np.ndarray:
+def riccati_steady_state(
+    model: DynamicsModel, steps_per_period: int = DEFAULT_DT_PER_PERIOD
+) -> np.ndarray:
     """Steady conditional covariance of the filter, just after an update.
 
     The fixed point of the measure-and-predict recursion at

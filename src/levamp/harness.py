@@ -18,9 +18,9 @@ BATCH_BYTES and that spread the trials over the workers.  The batches
 are dealt round-robin to lanes, at most one per worker, and each lane
 runs its batches in order through one draw buffer and one record buffer
 that the caller allocates: lane 0 on the calling thread, the others on
-one process-wide thread pool.  The kernels give a trial the same bits in
-any batch and the reduction is an ordered write by trial index, so
-results are bit-identical for any worker count.
+a thread pool that lives for the call.  The kernels give a trial the
+same bits in any batch and the reduction is an ordered write by trial
+index, so results are bit-identical for any worker count.
 
 The per-trial noise sources and their budget: the thermal preparation
 contributes variance 2 n + 1 to the amplified position, the finite
@@ -33,24 +33,28 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
-from .dynamics import DynamicsModel, base_model, propagate, soft_model, transition
+from .dynamics import (
+    DEFAULT_DT_PER_PERIOD, DynamicsModel, base_model, propagate, soft_model, transition,
+)
 from .estimation import readout_model, retrodiction_schedule
 from .params import OscillatorParams, db_ratio
-from .protocol import MEASURED_KINDS, ProtocolSchedule, Segment, build_for_ratio, require_valid
+from .protocol import (
+    DEFAULT_READOUT_PERIODS, MEASURED_KINDS, ProtocolSchedule, Segment, build_for_ratio,
+    require_valid,
+)
 from .records import MeasurementRecord
 from .state import GaussianState, apply_impulse
 
 # The bytes a batch of trials may hold in normal draws and readout
 # records (a trial past it runs alone); a lane's buffers hold one batch.
 BATCH_BYTES = 8 << 20
-DEFAULT_DT_PER_PERIOD = 200
 MIN_STATS_TRIALS = 10
 
 
@@ -288,18 +292,6 @@ def _simulate_batch(start, stop, plans, master_seed, init_std, z, y):
         at += (3 if plan.sqrt_k > 0.0 else 2) * n
 
 
-@lru_cache(maxsize=None)
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """The process-wide pool that runs lanes 1 to ``workers`` - 1, made on first use."""
-    return ThreadPoolExecutor(max_workers=workers - 1, thread_name_prefix="levamp")
-
-
-# A forked child inherits the pools but not their threads, and would wait
-# on them forever; it makes its own.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
 def run_ensemble(
     schedule: ProtocolSchedule,
     params: OscillatorParams,
@@ -318,8 +310,8 @@ def run_ensemble(
     trials, so a 200-trial ensemble on two workers runs as two batches
     at once.  Lane k of min(workers, batches) runs batches k, k + lanes,
     ... through its own draw and record buffers, made once per call.
-    Lane 0 runs on the calling thread, the others on one process-wide
-    pool of ``workers`` - 1 threads.
+    Lane 0 runs on the calling thread, the others on a pool of lanes - 1
+    threads that the call makes and shuts down, so no lane outlives it.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -359,11 +351,10 @@ def run_ensemble(
     # pages per ensemble.
     draws = np.empty((lanes, batch, total))
     records = np.empty((lanes, batch, ro.n_steps))
-    futures = [_pool(workers).submit(lane, k, draws[k], records[k]) for k in range(1, lanes)]
-    try:
+    # Leaving the block waits for every lane, also when lane 0 raises.
+    with ThreadPoolExecutor(max(lanes - 1, 1), thread_name_prefix="levamp") as pool:
+        futures = [pool.submit(lane, k, draws[k], records[k]) for k in range(1, lanes)]
         firsts = [lane(0, draws[0], records[0])]
-    finally:
-        wait(futures)  # no lane outlives the call, even when one raises
     firsts += [future.result() for future in futures]
     # Each lane's first bad trial is its lowest, so the least of them is
     # the run's: every worker count names the same trial.
@@ -613,7 +604,7 @@ def run_grid(
     n_trials: int,
     master_seed: int,
     *,
-    readout_periods: float = 5.0,
+    readout_periods: float = DEFAULT_READOUT_PERIODS,
     dt_per_period: int = DEFAULT_DT_PER_PERIOD,
     workers: int = 1,
 ) -> list[Ensemble]:
@@ -640,7 +631,7 @@ def sensitivity_curve(
     n_trials: int,
     master_seed: int,
     *,
-    readout_periods: float = 5.0,
+    readout_periods: float = DEFAULT_READOUT_PERIODS,
     dt_per_period: int = DEFAULT_DT_PER_PERIOD,
     workers: int = 1,
 ) -> tuple[SensitivityPoint, ...]:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import base_model, propagate, soft_model
+from .dynamics import DEFAULT_DT_PER_PERIOD, base_model, propagate, soft_model
 from .estimation import readout_model, retrodict, riccati_steady_state
 from .harness import (
     DEFAULT_WORKERS,
@@ -64,7 +64,7 @@ class CriterionResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (
-            f"[{self.index:2d}/12] {status} {self.name}: {self.detail} "
+            f"[{self.index:2d}/{len(CRITERIA)}] {status} {self.name}: {self.detail} "
             f"({self.seconds:.3f} s)"
         )
 
@@ -74,7 +74,7 @@ def _tau_for_dp(params: OscillatorParams, dp: float) -> float:
     return dp / (params.kappa_imp * params.pulse_voltage_v)
 
 
-def _flat_record(model, n: int, dt: float) -> MeasurementRecord:
+def _flat_record(n: int, dt: float) -> MeasurementRecord:
     """All-zero gated-on record; enough for covariance-only questions."""
     return MeasurementRecord(
         t0=0.0, dt=dt, samples=np.zeros(n), gate=np.ones(n, dtype=bool)
@@ -150,9 +150,9 @@ def _criterion_5(params: OscillatorParams) -> tuple[bool, str]:
     """Retrodicted covariance matches the forward steady state; data-free."""
     model = readout_model(params)
     steady = riccati_steady_state(model)
-    dt = params.period_s / 200.0
-    n = int(round(BUDGET_READOUT_PERIODS * 200))
-    back = retrodict(_flat_record(model, n, dt), model)
+    dt = params.period_s / DEFAULT_DT_PER_PERIOD
+    n = int(round(BUDGET_READOUT_PERIODS * DEFAULT_DT_PER_PERIOD))
+    back = retrodict(_flat_record(n, dt), model)
     rel = max(
         abs(back.cov[0, 0] / steady[0, 0] - 1.0),
         abs(back.cov[1, 1] / steady[1, 1] - 1.0),
@@ -356,7 +356,7 @@ def run_all(params: OscillatorParams | None = None, stream=None) -> list[Criteri
     failed = [r for r in results if not r.passed]
     total = sum(r.seconds for r in results)
     print(
-        f"{len(results) - len(failed)}/12 criteria passed in {total:.1f} s",
+        f"{len(results) - len(failed)}/{len(results)} criteria passed in {total:.1f} s",
         file=stream,
         flush=True,
     )

@@ -100,10 +100,11 @@ MUTANTS = (
         (T_HARNESS + "test_the_first_bad_batch_stops_the_run",),
     ),
     Mutant(
-        "fork-keeps-parent-pool", HARNESS,
-        "    os.register_at_fork(after_in_child=_pool.cache_clear)\n",
-        "    pass\n",
-        (T_HARNESS + "test_a_forked_child_runs_its_own_lanes",),
+        "lanes-outlive-the-call", HARNESS,
+        '    with ThreadPoolExecutor(max(lanes - 1, 1), thread_name_prefix="levamp") as pool:\n',
+        '    pool = ThreadPoolExecutor(max(lanes - 1, 1), thread_name_prefix="levamp")\n'
+        "    if True:\n",
+        (T_HARNESS + "test_no_lane_outlives_the_call",),
     ),
     # draw layout, CSV text, the fold
     Mutant(

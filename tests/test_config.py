@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levamp import config
 from levamp.config import (
     MAX_DRAWS_PER_TRIAL,
     R_MAX,
@@ -20,6 +21,7 @@ from levamp.config import (
     load_config,
     manifest_inputs,
 )
+from levamp.dynamics import CovarianceError
 from levamp.harness import _plan_segments, model_for_segment
 from levamp.selftest import BUDGET_READOUT_PERIODS
 from levamp.protocol import build_for_ratio, validate
@@ -201,6 +203,21 @@ def test_a_readout_that_the_prior_decides_is_refused(raw, refused):
         return
     with pytest.raises(ConfigError, match="'eta', 'gamma_qb_hz' and 'readout_periods'"):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "fault", [CovarianceError("lost positive definiteness", 0.0), ValueError("dt too coarse")]
+)
+def test_a_prior_check_that_cannot_fold_is_refused_like_a_prior_decided_one(monkeypatch, fault):
+    """A fold that fails inside the prior check reads as an infinite
+    dependence on the prior, so the config fails with the same message."""
+
+    def failing(*args):
+        raise fault
+
+    monkeypatch.setattr(config, "prior_dependence", failing)
+    with pytest.raises(ConfigError, match=r"'eta', 'gamma_qb_hz' and 'readout_periods'.* by inf,"):
+        config_from_dict({})
 
 
 @pytest.mark.parametrize("readout_periods", [5.0, BUDGET_READOUT_PERIODS])

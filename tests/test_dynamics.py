@@ -164,6 +164,26 @@ def test_propagate_rejects_bad_steps():
             propagate(st, MEASURED, bad)
 
 
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("omega", 0.0, "omega must be positive and finite"),
+        ("omega", np.inf, "omega must be positive and finite"),
+        ("omega", np.nan, "omega must be positive and finite"),
+        ("freq_ratio", 0.0, r"freq_ratio must be in \(0, 1\]"),
+        ("freq_ratio", 1.5, r"freq_ratio must be in \(0, 1\]"),
+        ("freq_ratio", np.nan, r"freq_ratio must be in \(0, 1\]"),
+        ("diffusion_p", -1.0, "diffusion_p must be nonnegative and finite"),
+        ("diffusion_p", np.inf, "diffusion_p must be nonnegative and finite"),
+        ("meas_rate", -1.0, "meas_rate must be nonnegative and finite"),
+        ("meas_rate", np.nan, "meas_rate must be nonnegative and finite"),
+    ],
+)
+def test_dynamics_model_rejects_bad_rates(name, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DynamicsModel(**{"omega": PARAMS.omega, name: value})
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_pd_check_rejects_any_non_finite_entry(bad):
     good = (2.0, 0.3, 1.5)  # (V_qq, V_qp, V_pp) of a symmetric 2x2

@@ -363,6 +363,14 @@ def test_retrodict_rejects_short_records_coarse_steps_and_no_detection():
         retrodict(flat_record(400), blind)
     with pytest.raises(ValueError, match="meas_rate"):
         retrodiction_schedule(blind, DT, 400)
+    with pytest.raises(ValueError, match="^riccati_steady_state needs meas_rate > 0$"):
+        riccati_steady_state(blind)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-7, np.nan])
+def test_a_schedule_needs_a_positive_finite_step(dt):
+    with pytest.raises(ValueError, match="^dt must be positive and finite$"):
+        retrodiction_schedule(MODEL, dt, 400)
 
 
 def test_an_overflowing_prior_names_a_sample_time_inside_the_record(monkeypatch):

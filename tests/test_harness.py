@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -300,18 +301,33 @@ def test_eight_lanes_switching_threads_often_keep_every_bit(monkeypatch):
     assert np.array_equal(split.truths, serial.truths)
 
 
-def test_the_thread_pool_is_made_once(monkeypatch):
-    made = []
+@pytest.mark.parametrize("poisoned", [False, True])
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_no_lane_outlives_the_call(monkeypatch, workers, poisoned):
+    """A 200-trial call runs one batch per lane; when it returns, or raises
+    because lane 0's first batch did, no ``levamp`` thread is alive and
+    every batch that started has returned."""
+    real = harness._simulate_batch
+    started, returned = [], []
 
-    class Spy(harness.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            super().__init__(*args, **kwargs)
+    def spy(start, *args):
+        started.append(start)
+        try:
+            if poisoned and start == 0:
+                raise RuntimeError("poisoned batch")
+            return real(start, *args)
+        finally:
+            returned.append(start)
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", Spy)
-    for seed in (1, 2):
-        run_ensemble(AMP, PARAMS, 200, seed, workers=2)
-    assert len(made) <= 1
+    monkeypatch.setattr(harness, "_simulate_batch", spy)
+    if poisoned:
+        with pytest.raises(RuntimeError, match="^poisoned batch$"):
+            run_ensemble(AMP, PARAMS, 200, 1, workers=workers)
+    else:
+        run_ensemble(AMP, PARAMS, 200, 1, workers=workers)
+        assert len(started) == workers
+    assert [t.name for t in threading.enumerate() if t.name.startswith("levamp")] == []
+    assert sorted(returned) == sorted(started)
 
 
 def _run_two_lanes():
@@ -320,8 +336,8 @@ def _run_two_lanes():
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_a_forked_child_runs_its_own_lanes():
-    """The child of a fork inherits the parent's pool without its
-    threads; it must start its own instead of waiting on them."""
+    """A process that has run lanes can fork: the child inherits no lane
+    thread to wait on, and its call starts and joins its own."""
     _run_two_lanes()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process

@@ -85,6 +85,10 @@ def test_conventional_release_lead():
 def test_kick_sizes_track_the_pulse():
     assert AMP.kick_dp == pytest.approx(1.2, rel=1e-12)
     assert CONV.kick_dp == pytest.approx(12.0, rel=1e-12)
+    unkicked = dataclasses.replace(
+        CONV, segments=tuple(s for s in CONV.segments if s.kind != "kick")
+    )
+    assert unkicked.kick_dp == 0.0
     assert AMP.tau_s == 100e-9
     assert CONV.tau_s == 1000e-9
 
@@ -240,6 +244,8 @@ def test_segment_validation():
         Segment(kind="soft", duration_s=1e-6, freq_ratio=1.5)
     with pytest.raises(ValueError, match="kick_dp must be zero"):
         Segment(kind="readout", duration_s=1e-4, kick_dp=1.0)
+    with pytest.raises(ValueError, match="^kick_dp must be finite$"):
+        Segment(kind="kick", duration_s=0.0, kick_dp=math.inf)
 
 
 # (meas, fb) that schedule.json writes for each kind.

@@ -105,3 +105,7 @@ def test_state_validation_rejects_bad_inputs():
         GaussianState(np.zeros(2), np.diag([1.0, -2.0]))
     with pytest.raises(ValueError):
         GaussianState(np.array([np.nan, 0.0]), np.eye(2))
+    with pytest.raises(ValueError, match=r"cov must have shape \(2, 2\)"):
+        GaussianState(np.zeros(2), np.eye(3))
+    with pytest.raises(ValueError, match="cov must be finite"):
+        GaussianState(np.zeros(2), np.diag([1.0, np.inf]))
