@@ -17,7 +17,7 @@ Layers, bottom up:
     estimation  backward retrodiction and the conditioned steady state
     harness     Monte Carlo ensembles, fits, noise budget, CSV output
     config      JSON run configuration
-    cli         command-line presets and sweeps
+    cli         command-line presets and selftest
     selftest    acceptance criteria bundled as runnable checks
 """
 

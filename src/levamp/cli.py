@@ -1,4 +1,4 @@
-"""Command-line entry point: presets, sweeps, sensitivity, selftest.
+"""Command-line entry point: the figure presets and the selftest.
 
 Every command writes data files only (CSV plus a manifest.json that
 pins parameters, seed, and code version); plotting is left to external
@@ -6,13 +6,12 @@ tools.  All randomness flows from one master seed, which defaults to a
 fixed documented value rather than entropy, so repeated runs and CI
 are deterministic.  ``--workers`` changes wall time, never bytes.
 
-A flag that sets a run input is a config override: ``--trials N`` sets
-``n_trials``, ``sweep-r --tau-ns X`` sets ``tau_grid_ns`` to ``[X]`` and
-``sweep-tau --r X`` sets ``r_grid`` to ``[X]``, in place of the
-``--config`` file's value.  The merged config is checked once, by
-``config.config_from_dict``, so a bad flag value fails like a bad
-config key and is named by its key (``sweep-tau --r 7`` names
-``r_grid``), and the manifest records the inputs that ran.
+``--trials N`` is the one flag that sets a run input: it sets
+``n_trials`` in place of the ``--config`` file's value.  A sweep over
+one ratio or one pulse length is ``run fig4-scaling`` with a config
+that sets ``r_grid`` or ``tau_grid_ns``.  The merged config is checked
+once, by ``config.config_from_dict``, so a bad value is named by its
+key, and the manifest records the inputs that ran.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed
 config, out-of-range values), 2 runtime failure (including a failing
@@ -25,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__, selftest as selftest_mod
@@ -46,17 +46,6 @@ from .protocol import build_for_ratio, schedule_to_json
 
 DEFAULT_SEED = 20260819
 
-PRESETS = (
-    "fig3-conventional",
-    "fig3-amplified",
-    "fig4-scaling",
-    "fig5-sensitivity",
-)
-
-# argparse destinations that are config keys: their flags override the
-# --config file.
-_FLAG_KEYS = ("n_trials", "r_grid", "tau_grid_ns")
-
 
 class _UsageError(Exception):
     pass
@@ -74,30 +63,14 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"levamp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help=f"master seed (default {DEFAULT_SEED})")
-        p.add_argument("--trials", type=int, dest="n_trials", help="trials per ensemble (n_trials)")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=DEFAULT_WORKERS,
-                       help="thread count; never affects output bytes")
-
     run = sub.add_parser("run", help="run an experiment preset")
     run.add_argument("preset", choices=PRESETS)
-    common(run)
-
-    sweep_r = sub.add_parser("sweep-r", help="displacement vs squeeze ratio at fixed pulse length")
-    common(sweep_r)
-    sweep_r.add_argument("--tau-ns", type=float, nargs=1, default=[1000.0], dest="tau_grid_ns",
-                         metavar="TAU_NS", help="pulse length in ns (tau_grid_ns = [TAU_NS])")
-
-    sweep_tau = sub.add_parser("sweep-tau", help="displacement vs pulse length at fixed ratio")
-    common(sweep_tau)
-    sweep_tau.add_argument("--r", type=float, nargs=1, default=[math.sqrt(12.0)], dest="r_grid",
-                           metavar="R", help="squeeze ratio (r_grid = [R])")
-
-    sens = sub.add_parser("sensitivity", help="minimum resolvable impulse across ratios")
-    common(sens)
+    run.add_argument("--config", default=None, help="JSON config file")
+    run.add_argument("--seed", type=int, default=None, help=f"master seed (default {DEFAULT_SEED})")
+    run.add_argument("--trials", type=int, default=None, help="trials per ensemble (n_trials)")
+    run.add_argument("--out", default=None, help="output directory")
+    run.add_argument("--workers", type=int, default=DEFAULT_WORKERS,
+                     help="thread count; never affects output bytes")
 
     self_p = sub.add_parser("selftest", help="run the full acceptance suite")
     self_p.add_argument("--config", default=None, help="JSON config file")
@@ -105,23 +78,20 @@ def _build_parser() -> _Parser:
 
 
 def _resolve(args) -> tuple[RunConfig, int, int]:
-    """The run's config (key flags override --config), seed and workers."""
+    """The run's config (--trials overrides --config), seed and workers."""
     for key, value, low in (("seed", args.seed, 0), ("workers", args.workers, 1)):
         if value is not None and value < low:
             raise ConfigError(f"config key '{key}' must be >= {low}, got {value}")
-    flags = vars(args)
-    cfg = load_config(args.config, {
-        key: flags[key] for key in _FLAG_KEYS if flags.get(key) is not None
-    })
+    cfg = load_config(args.config, {} if args.trials is None else {"n_trials": args.trials})
     seed = DEFAULT_SEED if args.seed is None else args.seed
     return cfg, seed, args.workers
 
 
-def _write_manifest(out: Path, command: str, cfg: RunConfig, seed: int,
+def _write_manifest(out: Path, preset: str, cfg: RunConfig, seed: int,
                     outputs: list[str], results: dict) -> None:
     manifest = {
         "code_version": __version__,
-        "command": command,
+        "command": f"run {preset}",
         "seed": seed,
         **manifest_inputs(cfg),
         "outputs": sorted(outputs),
@@ -132,9 +102,8 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, seed: int,
     )
 
 
-def _run_fig3(out: Path, name: str, command: str, cfg: RunConfig, seed: int,
+def _run_fig3(r: float, out: Path, preset: str, cfg: RunConfig, seed: int,
               workers: int) -> None:
-    r = math.sqrt(12.0) if name == "fig3-amplified" else 1.0
     tau_s = 1000e-9
     schedule = build_for_ratio(cfg.params, r, tau_s, cfg.readout_periods * cfg.params.period_s)
     ensemble = run_ensemble(
@@ -154,14 +123,13 @@ def _run_fig3(out: Path, name: str, command: str, cfg: RunConfig, seed: int,
         "sigma_tot": stats.sigma,
         "sigma_tot_se": stats.sigma_se,
     }
-    _write_manifest(out, command, cfg, seed,
+    _write_manifest(out, preset, cfg, seed,
                     ["ensemble.csv", "schedule.json", "manifest.json"], results)
-    print(f"{name}: {cfg.n_trials} trials, signal {stats.signal_mean:.4f} "
+    print(f"{preset}: {cfg.n_trials} trials, signal {stats.signal_mean:.4f} "
           f"+- {stats.signal_mean_se:.4f} zp, sigma {stats.sigma:.4f} -> {out}")
 
 
-def _run_scaling(out: Path, name: str, command: str, cfg: RunConfig, seed: int,
-                 workers: int) -> None:
+def _run_scaling(out: Path, preset: str, cfg: RunConfig, seed: int, workers: int) -> None:
     taus = [t / 1e9 for t in cfg.tau_grid_ns]
     ensembles = run_grid(
         cfg.params, [(r, tau_s) for r in cfg.r_grid for tau_s in taus], cfg.n_trials, seed,
@@ -183,12 +151,11 @@ def _run_scaling(out: Path, name: str, command: str, cfg: RunConfig, seed: int,
         k1, k1_se = fit_k1(fits)
         results["k1_zp_per_s"] = k1
         results["k1_se"] = k1_se
-    _write_manifest(out, command, cfg, seed, ["scaling.csv", "manifest.json"], results)
-    print(f"{name}: {len(rows)} scaling points -> {out}")
+    _write_manifest(out, preset, cfg, seed, ["scaling.csv", "manifest.json"], results)
+    print(f"{preset}: {len(rows)} scaling points -> {out}")
 
 
-def _run_sensitivity(out: Path, name: str, command: str, cfg: RunConfig, seed: int,
-                     workers: int) -> None:
+def _run_sensitivity(out: Path, preset: str, cfg: RunConfig, seed: int, workers: int) -> None:
     curve = sensitivity_curve(
         cfg.params, cfg.r_grid, cfg.n_trials, seed,
         readout_periods=cfg.readout_periods,
@@ -198,9 +165,18 @@ def _run_sensitivity(out: Path, name: str, command: str, cfg: RunConfig, seed: i
     results = {
         f"dp_min_kev_c_r_{pt.r:.6g}": pt.dp_min_kev_c for pt in curve
     }
-    _write_manifest(out, command, cfg, seed, ["sensitivity.csv", "manifest.json"], results)
+    _write_manifest(out, preset, cfg, seed, ["sensitivity.csv", "manifest.json"], results)
     best = min(curve, key=lambda pt: pt.dp_min_kev_c)
-    print(f"{name}: best dp_min = {best.dp_min_kev_c:.3f} keV/c at r = {best.r:.3f} -> {out}")
+    print(f"{preset}: best dp_min = {best.dp_min_kev_c:.3f} keV/c at r = {best.r:.3f} -> {out}")
+
+
+# Each preset's handler, called as handler(out, preset, cfg, seed, workers).
+PRESETS = {
+    "fig3-conventional": partial(_run_fig3, 1.0),
+    "fig3-amplified": partial(_run_fig3, math.sqrt(12.0)),
+    "fig4-scaling": _run_scaling,
+    "fig5-sensitivity": _run_sensitivity,
+}
 
 
 def main(argv=None) -> int:
@@ -216,19 +192,9 @@ def main(argv=None) -> int:
             results = selftest_mod.run_all(load_config(args.config).params)
             return 0 if all(r.passed for r in results) else 2
         cfg, seed, workers = _resolve(args)
-        if args.command == "run":
-            name, command = args.preset, f"run {args.preset}"
-        else:
-            name = command = args.command
-        out = Path(args.out) if args.out is not None else Path(f"levamp_{name}")
+        out = Path(args.out) if args.out is not None else Path(f"levamp_{args.preset}")
         out.mkdir(parents=True, exist_ok=True)
-        if name.startswith("fig3-"):
-            handler = _run_fig3
-        elif name in ("fig4-scaling", "sweep-r", "sweep-tau"):
-            handler = _run_scaling
-        else:
-            handler = _run_sensitivity
-        handler(out, name, command, cfg, seed, workers)
+        PRESETS[args.preset](out, args.preset, cfg, seed, workers)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -32,6 +32,7 @@ The minimum resolvable impulse is the quadrature sum divided by r.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -41,7 +42,8 @@ import numpy as np
 
 from . import _kernels
 from .dynamics import (
-    DEFAULT_DT_PER_PERIOD, DynamicsModel, base_model, propagate, soft_model, transition,
+    DEFAULT_DT_PER_PERIOD, MIN_STEPS_PER_PERIOD, DynamicsModel, base_model, propagate,
+    soft_model, transition,
 )
 from .estimation import readout_model, retrodiction_schedule
 from .params import OscillatorParams, db_ratio
@@ -130,7 +132,7 @@ class _SegmentPlan:
     sqrt_k: float
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def _plan_segments(
     schedule: ProtocolSchedule,
     params: OscillatorParams,
@@ -144,7 +146,13 @@ def _plan_segments(
     normals where it measures.  The layout depends only on the schedule,
     never on data.  Cached, as every replayed trial and every config
     check plans the same schedule again; the plans' arrays are read-only.
+    ``dt_per_period`` must be an integer of at least MIN_STEPS_PER_PERIOD;
+    the cache keys on its type, so 200.0 is refused even where 200 is held.
     """
+    if operator.index(dt_per_period) < MIN_STEPS_PER_PERIOD:
+        raise ValueError(
+            f"dt_per_period must be at least {MIN_STEPS_PER_PERIOD}, got {dt_per_period}"
+        )
     require_valid(schedule)
     plans: list[_SegmentPlan] = []
     total = 2
@@ -328,20 +336,25 @@ def run_ensemble(
 
     outcomes = np.empty((n_trials, 2))
     truths = np.empty((n_trials, 2))
+    bad: list[int] = []  # each lane's first trial with a non-finite result
 
-    def lane(k: int, z: np.ndarray, y: np.ndarray) -> int | None:
-        """Run batches k, k + lanes, ... in order; returns the first trial
-        with a non-finite result, which ends the lane, or None."""
+    def lane(k: int, z: np.ndarray, y: np.ndarray) -> None:
+        """Run batches k, k + lanes, ... in order, up to the first that
+        holds a bad trial or starts past the least bad trial found.  A
+        batch that starts below it still runs, so the least of ``bad`` is
+        the run's lowest bad trial."""
         for start in starts[k::lanes]:
+            if bad and start > min(bad):
+                return
             stop = min(start + batch, n_trials)
             batch_truths, record = _simulate_batch(start, stop, plans, master_seed, init_std, z, y)
             est = _kernels.filter_backward(record, weights)
-            bad = np.flatnonzero(~np.isfinite(np.hstack([est, batch_truths])).all(axis=1))
-            if bad.size:
-                return start + int(bad[0])
+            rows = np.flatnonzero(~np.isfinite(np.hstack([est, batch_truths])).all(axis=1))
+            if rows.size:
+                bad.append(start + int(rows[0]))
+                return
             outcomes[start:stop] = est
             truths[start:stop] = batch_truths
-        return None
 
     # Lane k draws into draws[k] and records into records[k].  One array
     # of each for all lanes, not one per lane: a preset ensemble then
@@ -354,11 +367,9 @@ def run_ensemble(
     # Leaving the block waits for every lane, also when lane 0 raises.
     with ThreadPoolExecutor(max(lanes - 1, 1), thread_name_prefix="levamp") as pool:
         futures = [pool.submit(lane, k, draws[k], records[k]) for k in range(1, lanes)]
-        firsts = [lane(0, draws[0], records[0])]
-    firsts += [future.result() for future in futures]
-    # Each lane's first bad trial is its lowest, so the least of them is
-    # the run's: every worker count names the same trial.
-    bad = [i for i in firsts if i is not None]
+        lane(0, draws[0], records[0])
+    for future in futures:
+        future.result()
     if bad:
         raise RuntimeError(f"trial {min(bad)} produced a non-finite result; ensemble aborted")
 

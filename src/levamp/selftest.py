@@ -19,7 +19,6 @@ and sigma_Q 0.03 % below the budget.
 from __future__ import annotations
 
 import math
-import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -343,21 +342,17 @@ def run_criterion(index: int, params: OscillatorParams | None = None) -> Criteri
     return CriterionResult(index, name, passed, detail, elapsed)
 
 
-def run_all(params: OscillatorParams | None = None, stream=None) -> list[CriterionResult]:
+def run_all(params: OscillatorParams | None = None) -> list[CriterionResult]:
     """Run all twelve criteria, printing one line each; returns results."""
-    stream = stream if stream is not None else sys.stdout
     params = params or OscillatorParams()
     warm_kernels(params)
     results = []
     for index, _, _, _ in CRITERIA:
         result = run_criterion(index, params)
-        print(result.line(), file=stream, flush=True)
+        print(result.line(), flush=True)
         results.append(result)
     failed = [r for r in results if not r.passed]
     total = sum(r.seconds for r in results)
-    print(
-        f"{len(results) - len(failed)}/{len(results)} criteria passed in {total:.1f} s",
-        file=stream,
-        flush=True,
-    )
+    print(f"{len(results) - len(failed)}/{len(results)} criteria passed in {total:.1f} s",
+          flush=True)
     return results

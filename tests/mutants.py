@@ -80,6 +80,19 @@ MUTANTS = (
         "    w = w.copy()\n    m, n = w.shape[0], w.shape[1]\n",
         (T_KERNELS + "test_roll_record_copies_no_draws",),
     ),
+    # planning
+    Mutant(
+        "plan-accepts-any-step-count", HARNESS,
+        "    if operator.index(dt_per_period) < MIN_STEPS_PER_PERIOD:\n",
+        "    if False:\n",
+        (T_HARNESS + "test_both_entry_points_refuse_the_same_step_counts",),
+    ),
+    Mutant(
+        "plan-cache-ignores-type", HARNESS,
+        "@lru_cache(maxsize=32, typed=True)\ndef _plan_segments(",
+        "@lru_cache(maxsize=32)\ndef _plan_segments(",
+        (T_HARNESS + "test_both_entry_points_refuse_the_same_step_counts",),
+    ),
     # the split and its lanes
     Mutant(
         "lanes-share-buffers", HARNESS,
@@ -97,7 +110,14 @@ MUTANTS = (
         "raise-first-lane-not-lowest", HARNESS,
         'raise RuntimeError(f"trial {min(bad)} produced',
         'raise RuntimeError(f"trial {bad[0]} produced',
-        (T_HARNESS + "test_the_first_bad_batch_stops_the_run",),
+        (T_HARNESS + "test_the_first_bad_batch_stops_the_run",
+         T_HARNESS + "test_no_lane_runs_a_batch_past_the_least_bad_trial"),
+    ),
+    Mutant(
+        "lanes-run-past-the-least-bad-trial", HARNESS,
+        "            if bad and start > min(bad):\n                return\n",
+        "",
+        (T_HARNESS + "test_no_lane_runs_a_batch_past_the_least_bad_trial",),
     ),
     Mutant(
         "lanes-outlive-the-call", HARNESS,

@@ -91,12 +91,17 @@ def test_sensitivity_preset_hits_the_expected_band(tmp_path):
     )
 
 
-def test_sweep_r_orders_displacement_by_gain(tmp_path):
+def _sweep(tmp_path, grid, *argv):
+    """``run fig4-scaling`` over the one-key config ``grid``: a sweep."""
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(grid))
     out = tmp_path / "sweep"
-    rc = run_cli(
-        "sweep-r", "--trials", "30", "--seed", "3", "--out", str(out)
-    )
-    assert rc == 0
+    assert run_cli("run", "fig4-scaling", "--config", str(cfg), *argv, "--out", str(out)) == 0
+    return out
+
+
+def test_sweep_r_orders_displacement_by_gain(tmp_path):
+    out = _sweep(tmp_path, {"tau_grid_ns": [1000.0]}, "--trials", "30", "--seed", "3")
     lines = (out / "scaling.csv").read_text().strip().splitlines()
     assert lines[0] == "r,tau_s,dq_mean,dq_se"
     assert len(lines) == 4
@@ -105,11 +110,7 @@ def test_sweep_r_orders_displacement_by_gain(tmp_path):
 
 
 def test_sweep_tau_fits_the_slope(tmp_path):
-    out = tmp_path / "sweeptau"
-    rc = run_cli(
-        "sweep-tau", "--r", "2", "--trials", "30", "--seed", "9", "--out", str(out)
-    )
-    assert rc == 0
+    out = _sweep(tmp_path, {"r_grid": [2.0]}, "--trials", "30", "--seed", "9")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["results"]["k_r_2"] == pytest.approx(2.0 * 1.2e7, rel=0.15)
     lines = (out / "scaling.csv").read_text().strip().splitlines()
@@ -117,15 +118,23 @@ def test_sweep_tau_fits_the_slope(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, key, grid",
-    [(("sweep-r", "--tau-ns", "500"), "tau_grid_ns", [500.0]),
-     (("sweep-tau", "--r", "2"), "r_grid", [2.0])],
+    "key, grid", [("tau_grid_ns", [500.0]), ("r_grid", [2.0])],
 )
-def test_sweep_manifests_list_the_grid_that_ran(argv, key, grid, tmp_path):
-    out = tmp_path / "sweep"
-    assert run_cli(*argv, "--trials", "10", "--out", str(out)) == 0
+def test_sweep_manifests_list_the_grid_that_ran(key, grid, tmp_path):
+    out = _sweep(tmp_path, {key: grid}, "--trials", "10")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["run"][key] == grid
+
+
+def test_the_cli_offers_run_and_selftest_only(capsys):
+    with pytest.raises(SystemExit) as stop:
+        run_cli("--help")
+    assert stop.value.code == 0
+    assert "{run,selftest}" in capsys.readouterr().out
+    for command in ("sweep-r", "sweep-tau", "sensitivity"):
+        assert run_cli(command) == 1
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+    assert run_cli("run", "fig4-scaling", "--tau-ns", "500") == 1
 
 
 def test_default_output_directory_is_named_after_the_preset(tmp_path, monkeypatch):
@@ -165,27 +174,29 @@ def test_bad_config_exits_with_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, key",
     [
-        ("run", "fig3-amplified", "--trials", "1"),
-        ("sweep-tau", "--r", "7"),
-        ("run", "no-such-preset"),
-        ("sweep-tau", "--r", "nan"),
-        ("sweep-r", "--tau-ns", "nan"),
-        ("sweep-r", "--tau-ns", "-5"),
-        ("run", "fig3-amplified", "--trials", "9"),
-        ("run", "fig3-amplified", "--seed", "-1"),
-        ("run", "fig3-amplified", "--config", '{"kappa_imp": 1e308, "pulse_voltage_v": 1e10}'),
+        (("run", "fig3-amplified", "--trials", "1"), "n_trials"),
+        (("run", "fig4-scaling", "--config", '{"r_grid": [7.0]}'), "r_grid"),
+        (("run", "no-such-preset"), None),
+        (("run", "fig4-scaling", "--config", '{"r_grid": [NaN]}'), "r_grid"),
+        (("run", "fig4-scaling", "--config", '{"tau_grid_ns": [NaN]}'), "tau_grid_ns"),
+        (("run", "fig4-scaling", "--config", '{"tau_grid_ns": [-5.0]}'), "tau_grid_ns"),
+        (("run", "fig3-amplified", "--trials", "9"), "n_trials"),
+        (("run", "fig3-amplified", "--seed", "-1"), "seed"),
+        (("run", "fig3-amplified", "--config", '{"kappa_imp": 1e308, "pulse_voltage_v": 1e10}'),
+         "tau_grid_ns"),
         # kappa_imp * pulse_voltage_v overflows, so even a 0 ns pulse has no
         # finite kick: the grid check also covers the fixed fig3 pulse.
-        ("run", "fig3-amplified", "--config",
-         '{"kappa_imp": 1e308, "pulse_voltage_v": 1e10, "tau_grid_ns": [0.0]}'),
-        ("sweep-r", "--tau-ns", "1e10", "--config", '{"kappa_imp": 1e300, "pulse_voltage_v": 1e8}'),
-        ("run", "fig3-amplified", "--workers", "0"),
-        ("run", "fig3-amplified", "--workers", "-4"),
+        (("run", "fig3-amplified", "--config",
+          '{"kappa_imp": 1e308, "pulse_voltage_v": 1e10, "tau_grid_ns": [0.0]}'), "tau_grid_ns"),
+        (("run", "fig4-scaling", "--config",
+          '{"kappa_imp": 1e300, "pulse_voltage_v": 1e8, "tau_grid_ns": [1e10]}'), "tau_grid_ns"),
+        (("run", "fig3-amplified", "--workers", "0"), "workers"),
+        (("run", "fig3-amplified", "--workers", "-4"), "workers"),
     ],
 )
-def test_invalid_requests_exit_with_usage_error(argv, tmp_path, capsys):
+def test_invalid_requests_exit_with_usage_error(argv, key, tmp_path, capsys):
     """Every fault is a usage error raised before the output directory exists."""
     argv = list(argv)
     if "--config" in argv:
@@ -195,11 +206,8 @@ def test_invalid_requests_exit_with_usage_error(argv, tmp_path, capsys):
     rc = run_cli(*argv, "--out", str(tmp_path / "y"))
     assert rc == 1
     assert not (tmp_path / "y").exists()
-    flag = next((a for a in argv if a.startswith("--")), None)
-    if flag is not None:
-        key = {"--trials": "n_trials", "--r": "r_grid", "--tau-ns": "tau_grid_ns", "--seed": "seed",
-               "--config": "tau_grid_ns", "--workers": "workers"}[flag]
-        assert f"config key '{key}'" in capsys.readouterr().err
+    expected = "invalid choice" if key is None else f"config key '{key}'"
+    assert expected in capsys.readouterr().err
 
 
 def test_oversized_readout_exits_before_any_output(tmp_path, capsys):

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import levamp.harness as harness
-from levamp.dynamics import base_model, propagate
+from levamp.dynamics import MIN_STEPS_PER_PERIOD, base_model, propagate
 from levamp.estimation import estimate_trial_outcome, readout_model, retrodiction_schedule
 from levamp.harness import (
     DisplacementFit,
@@ -217,6 +218,28 @@ def test_seeding_that_disagrees_with_numpy_stops_the_run(monkeypatch):
         run_ensemble(AMP, PARAMS, 4, 1)
 
 
+@pytest.mark.parametrize("entry", ["simulate_trial", "run_ensemble"])
+def test_both_entry_points_refuse_the_same_step_counts(entry):
+    """Fewer than MIN_STEPS_PER_PERIOD steps, or a step count that is not
+    an int, is refused when the segments are planned; 200.0 also where
+    200 has been planned and cached."""
+    schedule = build_for_ratio(PARAMS, 2.0, 0.0, 2.0 * PERIOD)
+
+    def call(dt_per_period):
+        if entry == "simulate_trial":
+            return simulate_trial(schedule, PARAMS, 1, 0, dt_per_period=dt_per_period)
+        return run_ensemble(schedule, PARAMS, 2, 1, dt_per_period=dt_per_period)
+
+    call(MIN_STEPS_PER_PERIOD)
+    call(200)
+    for d in (-3, 0, 10, 49):
+        with pytest.raises(ValueError, match=f"^dt_per_period must be at least 50, got {d}$"):
+            call(d)
+    for d in (2.5, 200.0):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call(d)
+
+
 def test_non_finite_trials_abort_the_run(monkeypatch):
     real = retrodiction_schedule
 
@@ -270,6 +293,41 @@ def test_bad_trials_in_different_lanes_name_the_lowest(monkeypatch, workers):
     monkeypatch.setattr(harness, "_simulate_batch", poisoned)
     with pytest.raises(RuntimeError, match=r"^trial 60 produced a non-finite result"):
         run_ensemble(AMP, PARAMS, 200, 1, workers=workers)
+
+
+@pytest.mark.parametrize("late", [1, 0])
+def test_no_lane_runs_a_batch_past_the_least_bad_trial(monkeypatch, late):
+    """2048 trials at 12 periods on 2 workers: lane 0 runs the 106-trial
+    batches at 0, 212, ..., lane 1 those at 106, 318, ....  Trials 0 and
+    1000 (batch 954, lane 1) go bad.  Held back until the other lane has
+    found its bad trial, lane 1 runs at most its batch at 106; lane 0
+    still runs its batch at 0, below 1000, and the run names trial 0."""
+    real = harness._simulate_batch
+    started = []
+    found = threading.Event()
+    leader_bad = 0 if late == 1 else 954
+
+    def spy(start, stop, *args):
+        started.append(start)
+        if (start // 106) % 2 == late:
+            assert found.wait(timeout=30)
+            time.sleep(0.1)  # for the leader's filter and check
+        truths, records = real(start, stop, *args)
+        for bad in (0, 1000):
+            if start <= bad < stop:
+                records[bad - start, 0] = np.nan
+        if start == leader_bad:
+            found.set()
+        return truths, records
+
+    monkeypatch.setattr(harness, "_simulate_batch", spy)
+    schedule = build_for_ratio(PARAMS, R12, 0.0, 12.0 * PERIOD)
+    with pytest.raises(RuntimeError, match=r"^trial 0 produced a non-finite result"):
+        run_ensemble(schedule, PARAMS, 2048, 5, workers=2)
+    if late == 1:
+        assert 0 in started and set(started) <= {0, 106}
+    else:
+        assert sorted(started) == [0, 106, 318, 530, 742, 954]
 
 
 @pytest.mark.parametrize("r", [2.0, 1.0])
