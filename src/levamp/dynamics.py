@@ -28,13 +28,13 @@ Conventions for the stochastic part:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 import math
 
 import numpy as np
 
-from .state import GaussianState
+from .state import GaussianState, _is_pd
 
 MIN_STEPS_PER_PERIOD = 50
 DEFAULT_DT_PER_PERIOD = 200
@@ -99,7 +99,7 @@ class DynamicsModel:
 
     def noiseless(self) -> "DynamicsModel":
         """Copy with diffusion and measurement switched off."""
-        return replace(self, diffusion_p=0.0, meas_rate=0.0)
+        return DynamicsModel(self.omega, self.freq_ratio)
 
 
 def base_model(params, *, measurement_on: bool = True) -> DynamicsModel:
@@ -204,16 +204,14 @@ def _check_dt(model: DynamicsModel, dt: float) -> None:
 def _check_pd(v, t: float) -> None:
     """Raise CovarianceError unless the symmetric 2x2 ``v`` is positive definite.
 
-    ``v`` is (V_qq, V_qp, V_pp).  A NaN or infinite entry makes det NaN
-    or infinite, so one scalar test covers all three entries; it also
-    rejects a det that overflows.
+    ``v`` is (V_qq, V_qp, V_pp), judged by the package's one rule,
+    ``state._is_pd``.
     """
     qq, qp, pp = v
-    det = qq * pp - qp * qp
-    if not (qq > 0.0 and pp > 0.0 and det > 0.0 and math.isfinite(det)):
+    if not _is_pd(qq, qp, pp):
         raise CovarianceError(
             f"covariance lost positive definiteness at t = {t:.6e} s: "
-            f"diag = ({qq:.3e}, {pp:.3e}), det = {det:.3e}",
+            f"diag = ({qq:.3e}, {pp:.3e}), det = {qq * pp - qp * qp:.3e}",
             t,
         )
 

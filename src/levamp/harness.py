@@ -575,8 +575,8 @@ def noise_budget(params: OscillatorParams, r: float) -> NoiseBudget:
     the soft span adds 2 pi gamma_qb r / Omega.  A conventional run
     (r = 1) has no soft span and hence no recoil term.
     """
-    if r < 1.0:
-        raise ValueError("squeeze ratio r must be >= 1")
+    if not (r >= 1.0 and math.isfinite(r)):
+        raise ValueError(f"squeeze ratio r must be >= 1 and finite, got {r}")
     sigma_qi_sq = 2.0 * params.n_init + 1.0
     sigma_qf_sq = 1.0 / math.sqrt(params.eta)
     recoil = 2.0 * math.pi * params.gamma_qb * r / params.omega if r > 1.0 else 0.0

@@ -41,9 +41,12 @@ HARNESS = "src/levamp/harness.py"
 KERNELS = "src/levamp/_kernels.py"
 ESTIMATION = "src/levamp/estimation.py"
 RECORDS = "src/levamp/records.py"
+STATE = "src/levamp/state.py"
+DYNAMICS = "src/levamp/dynamics.py"
 T_HARNESS = "tests/test_harness.py::"
 T_KERNELS = "tests/test_kernels.py::"
 T_RECORDS = "tests/test_records.py::"
+T_STATE = "tests/test_state.py::"
 
 MUTANTS = (
     # seeding
@@ -150,6 +153,40 @@ MUTANTS = (
         "prior=10.0 * PRIOR_SCALE)",
         "prior=PRIOR_SCALE)",
         ("tests/test_cli.py::test_a_readout_that_the_prior_decides_exits_before_any_output",),
+    ),
+    # the one positive-definite rule and the state checks
+    Mutant(
+        "cov-check-skips-finite", STATE,
+        "    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):\n",
+        "    if False:\n",
+        (T_STATE + "test_state_validation_rejects_bad_inputs",
+         T_STATE + "test_cov_check_matches_the_numpy_oracle"),
+    ),
+    Mutant(
+        "pd-rule-allows-overflowing-det", STATE,
+        "det > 0.0 and math.isfinite(det)",
+        "det > 0.0",
+        (T_STATE + "test_states_and_the_propagation_check_share_one_pd_rule",
+         "tests/test_dynamics.py::test_pd_check_rejects_any_non_finite_entry"),
+    ),
+    Mutant(
+        "cov-left-unsymmetrized", STATE,
+        "    arr = np.array([[qq, qp], [qp, pp]])\n",
+        "",
+        (T_STATE + "test_cov_check_matches_the_numpy_oracle",),
+    ),
+    Mutant(
+        "mean-check-skips-finite", STATE,
+        "    if not (math.isfinite(q) and math.isfinite(p)):\n",
+        "    if False:\n",
+        (T_STATE + "test_state_validation_rejects_bad_inputs",
+         T_STATE + "test_mean_check_matches_the_numpy_oracle"),
+    ),
+    Mutant(
+        "noiseless-keeps-diffusion", DYNAMICS,
+        "        return DynamicsModel(self.omega, self.freq_ratio)\n",
+        "        return DynamicsModel(self.omega, self.freq_ratio, self.diffusion_p)\n",
+        ("tests/test_dynamics.py::test_noiseless_evolution_preserves_covariance_determinant",),
     ),
     # record CSV: which files skip csv.reader
     Mutant(

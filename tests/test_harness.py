@@ -693,6 +693,13 @@ def test_noise_budget_rejects_r_below_one():
         noise_budget(PARAMS, 0.99)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_noise_budget_rejects_a_non_finite_r(r):
+    # nan used to give the r = 1 budget (nan > 1 is False), inf sigma_tot = inf
+    with pytest.raises(ValueError, match=f"^squeeze ratio r must be >= 1 and finite, got {r}$"):
+        noise_budget(PARAMS, r)
+
+
 @pytest.mark.parametrize(
     "periods, sigma_excess, var_excess",
     [(5, (0.016, 0.018), (0.093, 0.095)), (12, (-0.001, 0.0), (-0.002, -0.001))],
