@@ -176,6 +176,12 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
         draws = max(total for _, total in planned)
     except OverflowError:  # a step count or step length past float range
         draws = math.inf
+    except ValueError as exc:  # chol2x2: a step's process noise underflows to singular
+        raise ConfigError(
+            f"config key 'gamma_qb_hz' must give every planned step a positive definite "
+            f"process noise, got {params.gamma_qb_hz!r} at dt_per_period = "
+            f"{dt_per_period!r} ({exc})"
+        ) from exc
     if draws > MAX_DRAWS_PER_TRIAL:
         raise ConfigError(
             f"config keys 'readout_periods' and 'dt_per_period' must plan at most "

@@ -29,12 +29,12 @@ Conventions for the stochastic part:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 import math
+import operator
 
 import numpy as np
 
-from .state import GaussianState, _is_pd
+from .state import GaussianState, _check_ratio, _is_pd
 
 MIN_STEPS_PER_PERIOD = 50
 DEFAULT_DT_PER_PERIOD = 200
@@ -118,8 +118,7 @@ def soft_model(params, r: float) -> DynamicsModel:
     Soft power scales as 1/r^2, so the recoil diffusion drops by the
     same factor while detection is gated off entirely.
     """
-    if r < 1.0:
-        raise ValueError("squeeze ratio r must be >= 1")
+    _check_ratio(r)
     return DynamicsModel(
         omega=params.omega,
         freq_ratio=1.0 / r,
@@ -159,19 +158,10 @@ def _undamped(model: DynamicsModel, dt: float):
     )
 
 
-@lru_cache(maxsize=512)
-def _discretize_cached(model: DynamicsModel, dt: float):
-    # Checked here, on a cache miss only: a step that raises is never cached.
-    if not (dt >= 0.0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be nonnegative and finite, got {dt!r}")
-    f, q = _undamped(model, dt)
-    return np.array(f).reshape(2, 2), _mat(q)
-
-
 def transition(model: DynamicsModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact one-step transition matrix and process-noise covariance.
 
-    Returns (F, Qd) with F = expm(A dt) and
+    Returns fresh arrays (F, Qd) with F = expm(A dt) and
     Qd = int_0^dt expm(A s) D expm(A s)^T ds, in closed form.  With
     x = omega f dt and d = ``diffusion_p``::
 
@@ -179,15 +169,30 @@ def transition(model: DynamicsModel, dt: float) -> tuple[np.ndarray, np.ndarray]
         Qd = d / (2 omega f) [[(x - sin x cos x) / f^2, sin^2 x / f],
                               [sin^2 x / f,             x + sin x cos x]]
 
-    ``dt = 0`` gives (I, 0).
+    ``dt = 0`` gives (I, 0).  Nothing is cached.
 
     Raises
     ------
     ValueError
         If dt is negative or not finite.
     """
-    f, qd = _discretize_cached(model, float(dt))
-    return f.copy(), qd.copy()
+    dt = float(dt)
+    if not (dt >= 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be nonnegative and finite, got {dt!r}")
+    f, qd = _undamped(model, dt)
+    return np.array(f).reshape(2, 2), _mat(qd)
+
+
+def steps(model: DynamicsModel, duration: float, steps_per_period: int) -> tuple[int, float]:
+    """(n, dt): the fewest (at least one) equal steps over ``duration`` no
+    longer than local_period / ``steps_per_period``, an integer of at least
+    MIN_STEPS_PER_PERIOD.  The package's one step-count rule."""
+    if operator.index(steps_per_period) < MIN_STEPS_PER_PERIOD:
+        raise ValueError(
+            f"dt_per_period must be at least {MIN_STEPS_PER_PERIOD}, got {steps_per_period}"
+        )
+    n = max(1, math.ceil(duration / (model.local_period / steps_per_period) - 1e-9))
+    return n, duration / n
 
 
 def _check_dt(model: DynamicsModel, dt: float) -> None:
@@ -226,7 +231,7 @@ def _sym(a: np.ndarray) -> tuple[float, float, float]:
 
 
 def _mat(v) -> np.ndarray:
-    return np.array([[v[0], v[1]], [v[1], v[2]]])
+    return np.array((v[0], v[1], v[1], v[2])).reshape(2, 2)
 
 
 def _flat(f: np.ndarray) -> tuple[float, float, float, float]:

@@ -53,6 +53,7 @@ from .dynamics import (
     _predict,
     _sym,
     base_model,
+    steps,
     transition,
 )
 from .protocol import require_valid
@@ -87,13 +88,6 @@ class FilterState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "estimate", _as_mean(self.estimate))
         object.__setattr__(self, "cov", _as_cov(self.cov))
-
-
-def _backward_ops(model: DynamicsModel, dt: float):
-    """Transition and process noise for one time-reversed step, as floats."""
-    f, qd = transition(model, dt)
-    finv = _flat(np.linalg.inv(f))
-    return finv, _predict(_sym(qd), finv, (0.0, 0.0, 0.0))
 
 
 def retrodict(record: MeasurementRecord, model: DynamicsModel) -> FilterState:
@@ -158,10 +152,8 @@ def _checked_fold(model: DynamicsModel, dt: float, gate: bytes, t0: float = 0.0,
     if model.meas_rate <= 0.0:
         raise ValueError("retrodiction needs meas_rate > 0")
     _check_dt(model, dt)
-    finv, qrev = _backward_ops(model, dt)
     try:
-        return _fold_schedule(finv, qrev, math.sqrt(model.meas_rate), dt, gate,
-                              PRIOR_SCALE if prior is None else prior)
+        return _fold_schedule(model, dt, gate, PRIOR_SCALE if prior is None else prior)
     except CovarianceError as err:
         t = t0 + err.t
         raise CovarianceError(
@@ -170,9 +162,10 @@ def _checked_fold(model: DynamicsModel, dt: float, gate: bytes, t0: float = 0.0,
 
 
 @lru_cache(maxsize=16)
-def _fold_schedule(finv, qrev, sqrt_k, dt, gate, prior):
+def _fold_schedule(model, dt, gate, prior):
     """Backward filter over samples spaced dt, folded into record weights.
 
+    Cached by (model, dt, gate, prior), so a hit builds no transition.
     ``gate`` holds the bytes of the record's bool gate.  Runs the
     covariance from ``prior`` * I at the last sample down to the
     first, checking it after every update (times counted from the first
@@ -182,6 +175,10 @@ def _fold_schedule(finv, qrev, sqrt_k, dt, gate, prior):
     weights (n, 2) and the covariance at the first sample as
     (V_qq, V_qp, V_pp); neither depends on the record's values.
     """
+    f, qd = transition(model, dt)
+    finv = _flat(np.linalg.inv(f))  # one time-reversed step, as floats
+    qrev = _predict(_sym(qd), finv, (0.0, 0.0, 0.0))
+    sqrt_k = math.sqrt(model.meas_rate)
     on = np.frombuffer(gate, dtype=bool).tolist()
     n = len(on)
     inv_dt = 1.0 / dt
@@ -218,7 +215,8 @@ def riccati_steady_state(
     """Steady conditional covariance of the filter, just after an update.
 
     The fixed point of the measure-and-predict recursion at
-    ``steps_per_period`` samples per local period, found by doubling
+    ``steps_per_period`` samples per local period (``dynamics.steps``
+    over one local period), found by doubling
     (Anderson & Moore, *Optimal Filtering*, 1979): with A = Fᵀ,
     G = diag(meas_rate dt, 0) and H = Q_d, each doubling sets
     W = (I + G H)⁻¹, then A <- A W A, G <- G + A W G Aᵀ and
@@ -226,13 +224,9 @@ def riccati_steady_state(
     covariance 2^k steps on from zero.  H stops changing after a dozen
     or so doublings; its Joseph update is returned.
     """
-    steps_per_period = operator.index(steps_per_period)
-    if steps_per_period < 1:
-        raise ValueError("need at least one step per period")
+    _, dt = steps(model, model.local_period, steps_per_period)
     if model.meas_rate <= 0.0:
         raise ValueError("riccati_steady_state needs meas_rate > 0")
-    dt = model.local_period / steps_per_period
-    _check_dt(model, dt)
     f, qd = transition(model, dt)
     f00, f01, f10, f11 = _flat(f)
     a = (f00, f10, f01, f11)

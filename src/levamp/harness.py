@@ -32,7 +32,6 @@ The minimum resolvable impulse is the quadrature sum divided by r.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -42,17 +41,15 @@ import numpy as np
 
 from . import _kernels
 from .dynamics import (
-    DEFAULT_DT_PER_PERIOD, MIN_STEPS_PER_PERIOD, DynamicsModel, base_model, propagate,
-    soft_model, transition,
+    DEFAULT_DT_PER_PERIOD, base_model, propagate, soft_model, steps, transition,
 )
 from .estimation import readout_model, retrodiction_schedule
 from .params import OscillatorParams, db_ratio
 from .protocol import (
-    DEFAULT_READOUT_PERIODS, MEASURED_KINDS, ProtocolSchedule, Segment, build_for_ratio,
-    require_valid,
+    DEFAULT_READOUT_PERIODS, MEASURED_KINDS, ProtocolSchedule, build_for_ratio, require_valid,
 )
 from .records import MeasurementRecord
-from .state import GaussianState, apply_impulse
+from .state import GaussianState, _check_ratio, apply_impulse
 
 # The bytes a batch of trials may hold in normal draws and readout
 # records (a trial past it runs alone); a lane's buffers hold one batch.
@@ -70,21 +67,26 @@ def _usable_cpus() -> int:
 DEFAULT_WORKERS = _usable_cpus()
 
 
-def model_for_segment(params: OscillatorParams, segment: Segment) -> DynamicsModel:
-    """Dynamics model realizing one schedule segment.
+def _walk(schedule: ProtocolSchedule, params: OscillatorParams):
+    """Yield (kick_dp, model, duration_s) for each segment a trial runs, readout last.
 
-    Recoil diffusion scales with optical power, i.e. with the square
-    of the local frequency ratio; detection contributes only where the
-    segment's kind measures.  The feedback hold has no model: it
-    prepares the thermal state that a trial draws.
+    Skips the feedback hold, which prepares the state a trial draws, and
+    zero-length segments; a kick rides on the segment after it (else
+    ``kick_dp`` is None).  Recoil diffusion scales with the square of the
+    local frequency ratio; detection is on where the segment's kind measures.
     """
-    if segment.kind == "feedback_hold":
-        raise ValueError("feedback_hold segment has no dynamics model")
-    if segment.kind == "soft":
-        return soft_model(params, 1.0 / segment.freq_ratio)
-    if segment.freq_ratio != 1.0:
-        raise ValueError(f"{segment.kind} segment must run at the base frequency")
-    return base_model(params, measurement_on=segment.kind in MEASURED_KINDS)
+    require_valid(schedule)
+    kick_dp = None
+    for seg in schedule.segments:
+        if seg.kind == "kick":
+            kick_dp = seg.kick_dp
+        elif seg.kind != "feedback_hold" and seg.duration_s > 0.0:
+            if seg.kind == "soft":
+                model = soft_model(params, 1.0 / seg.freq_ratio)
+            else:
+                model = base_model(params, measurement_on=seg.kind in MEASURED_KINDS)
+            yield kick_dp, model, seg.duration_s
+            kick_dp = None
 
 
 @dataclass(frozen=True)
@@ -138,42 +140,26 @@ def _plan_segments(
     params: OscillatorParams,
     dt_per_period: int,
 ) -> tuple[tuple[_SegmentPlan, ...], int]:
-    """Plan the simulated segments in timeline order; returns (plans, draws).
+    """Plan each segment of :func:`_walk` in ``dynamics.steps``; returns (plans, draws).
 
-    The readout is the last plan, and a kick rides on the plan after it.
     Each trial draws all of its normals in one call, laid out as 2 for
     the initial state, then per plan 2 n process normals, then n record
     normals where it measures.  The layout depends only on the schedule,
     never on data.  Cached, as every replayed trial and every config
     check plans the same schedule again; the plans' arrays are read-only.
-    ``dt_per_period`` must be an integer of at least MIN_STEPS_PER_PERIOD;
-    the cache keys on its type, so 200.0 is refused even where 200 is held.
+    The cache keys on the type of ``dt_per_period``, so 200.0 is refused
+    by ``dynamics.steps`` even where 200 is held.
     """
-    if operator.index(dt_per_period) < MIN_STEPS_PER_PERIOD:
-        raise ValueError(
-            f"dt_per_period must be at least {MIN_STEPS_PER_PERIOD}, got {dt_per_period}"
-        )
-    require_valid(schedule)
     plans: list[_SegmentPlan] = []
     total = 2
-    kick_dp = None
-    for seg in schedule.segments:
-        if seg.kind == "kick":
-            kick_dp = seg.kick_dp
-            continue
-        if seg.kind == "feedback_hold" or seg.duration_s == 0.0:
-            continue
-        model = model_for_segment(params, seg)
-        target = model.local_period / dt_per_period
-        n_steps = max(1, math.ceil(seg.duration_s / target - 1e-9))
-        dt = seg.duration_s / n_steps
+    for kick_dp, model, duration in _walk(schedule, params):
+        n_steps, dt = steps(model, duration, dt_per_period)
         f, qd = transition(model, dt)
         sqrt_k = math.sqrt(model.meas_rate)
         total += (3 if sqrt_k > 0.0 else 2) * n_steps
         fwd, g = _kernels.powers(f, _kernels.chol2x2(qd), n_steps)
         fwd.flags.writeable = g.flags.writeable = False
         plans.append(_SegmentPlan(kick_dp, n_steps, dt, fwd, g, sqrt_k))
-        kick_dp = None
     return tuple(plans), total
 
 
@@ -420,23 +406,17 @@ def run_schedule_noiseless(
 ) -> GaussianState:
     """Deterministic protocol map with diffusion and detection off.
 
-    Skips the feedback_hold segment (the map describes what the
-    protocol does to a prepared state) and stops at t_zero, before the
-    readout rotation.  The amplified map sends mean
-    (Q0, P0) with kick dP to (-Q0 + r dP, -P0) and returns the
-    covariance to its initial value.
+    Runs the segments of :func:`_walk` up to t_zero: a kick riding on the
+    readout is applied last, and the readout rotation is left out.  The
+    amplified map sends mean (Q0, P0) with kick dP to (-Q0 + r dP, -P0)
+    and returns the covariance to its initial value.
     """
-    require_valid(schedule)
-    for seg in schedule.segments:
-        if seg.kind == "feedback_hold":
-            continue
-        if seg.kind == "readout":
-            break
-        if seg.kind == "kick":
-            state = apply_impulse(state, seg.kick_dp)
-            continue
-        state = propagate(state, model_for_segment(params, seg).noiseless(), seg.duration_s)
-    return state
+    *before, (kick_dp, _, _) = _walk(schedule, params)  # the readout is last
+    for dp, model, duration in before:
+        if dp is not None:
+            state = apply_impulse(state, dp)
+        state = propagate(state, model.noiseless(), duration)
+    return state if kick_dp is None else apply_impulse(state, kick_dp)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +555,7 @@ def noise_budget(params: OscillatorParams, r: float) -> NoiseBudget:
     the soft span adds 2 pi gamma_qb r / Omega.  A conventional run
     (r = 1) has no soft span and hence no recoil term.
     """
-    if not (r >= 1.0 and math.isfinite(r)):
-        raise ValueError(f"squeeze ratio r must be >= 1 and finite, got {r}")
+    _check_ratio(r)
     sigma_qi_sq = 2.0 * params.n_init + 1.0
     sigma_qf_sq = 1.0 / math.sqrt(params.eta)
     recoil = 2.0 * math.pi * params.gamma_qb * r / params.omega if r > 1.0 else 0.0
@@ -656,8 +635,8 @@ def sensitivity_curve(
     ideal-system resolution sqrt(2) p_zp and to p_zp itself.
     """
     rs = [float(r) for r in r_grid]
-    if any(r < 1.0 for r in rs):
-        raise ValueError("squeeze ratios must be >= 1")
+    for r in rs:
+        _check_ratio(r)
     ensembles = run_grid(
         params, [(r, 0.0) for r in rs], n_trials, master_seed,
         readout_periods=readout_periods, dt_per_period=dt_per_period, workers=workers,

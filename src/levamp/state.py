@@ -83,6 +83,12 @@ class GaussianState:
         object.__setattr__(self, "cov", _as_cov(self.cov))
 
 
+def _check_ratio(r: float) -> None:
+    """The package's one check of a squeeze ratio: r >= 1 and finite."""
+    if not (r >= 1.0 and math.isfinite(r)):
+        raise ValueError(f"squeeze ratio r must be >= 1 and finite, got {r}")
+
+
 def thermal_state(n: float) -> GaussianState:
     """Zero-mean thermal state of occupation n: V = (2n + 1) I."""
     if not (n >= 0.0 and math.isfinite(n)):
@@ -121,7 +127,6 @@ def quarter_period_map(r: float) -> np.ndarray:
     so an initial (Q, P) maps to (r P, -Q / r). Two applications give
     S(r)^2 = -I. r = 1 is the plain quarter-period rotation.
     """
-    if not (r >= 1.0 and math.isfinite(r)):
-        raise ValueError(f"squeeze ratio r must be >= 1 and finite, got {r}")
+    _check_ratio(r)
     return np.array([[0.0, r], [-1.0 / r, 0.0]])
 

@@ -85,10 +85,17 @@ MUTANTS = (
     ),
     # planning
     Mutant(
-        "plan-accepts-any-step-count", HARNESS,
-        "    if operator.index(dt_per_period) < MIN_STEPS_PER_PERIOD:\n",
+        "plan-accepts-any-step-count", DYNAMICS,
+        "    if operator.index(steps_per_period) < MIN_STEPS_PER_PERIOD:\n",
         "    if False:\n",
         (T_HARNESS + "test_both_entry_points_refuse_the_same_step_counts",),
+    ),
+    Mutant(
+        "walk-keeps-stale-kick", HARNESS,
+        "            yield kick_dp, model, seg.duration_s\n            kick_dp = None\n",
+        "            yield kick_dp, model, seg.duration_s\n",
+        (T_HARNESS + "test_the_amplified_walk_is_soft_soft_carrying_the_kick_readout",
+         T_HARNESS + "test_noiseless_protocol_map"),
     ),
     Mutant(
         "plan-cache-ignores-type", HARNESS,

@@ -231,6 +231,16 @@ def test_a_readout_that_the_prior_decides_exits_before_any_output(tmp_path, caps
     assert all(f"'{key}'" in err for key in ("eta", "gamma_qb_hz", "readout_periods"))
 
 
+def test_a_gamma_qb_too_small_to_plan_is_a_config_fault(tmp_path, capsys):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text('{"gamma_qb_hz": 1e-320}')
+    rc = run_cli("run", "fig3-amplified", "--config", str(cfg), "--out", str(tmp_path / "y"))
+    assert rc == 1
+    assert not (tmp_path / "y").exists()
+    err = capsys.readouterr().err
+    assert "'gamma_qb_hz'" in err and "runtime failure" not in err
+
+
 @pytest.mark.parametrize("argv", [("run", "selftest"), ("selftest", "--seed", "1")])
 def test_selftest_has_one_entry_point_taking_only_a_config(argv, monkeypatch):
     def never(*args, **kwargs):

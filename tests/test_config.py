@@ -22,7 +22,7 @@ from levamp.config import (
     manifest_inputs,
 )
 from levamp.dynamics import CovarianceError
-from levamp.harness import _plan_segments, model_for_segment
+from levamp.harness import _plan_segments, _walk
 from levamp.selftest import BUDGET_READOUT_PERIODS
 from levamp.protocol import build_for_ratio, validate
 
@@ -174,6 +174,23 @@ def test_values_that_overflow_once_converted_name_their_key(raw, key):
 @pytest.mark.parametrize(
     "raw",
     [
+        {"gamma_qb_hz": 5e-324},
+        {"gamma_qb_hz": 1e-320},
+        {"gamma_qb_hz": 1e-314},
+        {"gamma_qb_hz": 1e-308, "dt_per_period": 100000, "readout_periods": 1.0},
+    ],
+)
+def test_process_noise_that_underflows_names_gamma_qb_hz(raw):
+    """At or below 1e-314 Hz (1e-308 Hz at 1e5 steps per period) a planned
+    step's process noise rounds to a singular matrix: a config fault, not
+    a plain ValueError from the Cholesky factor."""
+    with pytest.raises(ConfigError, match="^config key 'gamma_qb_hz' must give every planned step"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
         {"readout_periods": 1e9, "dt_per_period": 1000000},
         {"dt_per_period": 10**400},
         {"readout_periods": 1e307, "dt_per_period": 1000000},
@@ -302,9 +319,7 @@ def test_config_fuzz_raises_only_config_errors_and_accepts_only_buildable_runs(r
                     params, r, tau_ns / 1e9, cfg.readout_periods * params.period_s
                 )
                 assert validate(schedule) == []
-                for seg in schedule.segments:
-                    if seg.kind not in ("kick", "feedback_hold"):
-                        model_for_segment(params, seg)
+                list(_walk(schedule, params))
 
 
 @settings(max_examples=300, deadline=None)

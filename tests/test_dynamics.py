@@ -249,3 +249,9 @@ def test_base_and_soft_model_rates():
     assert soft.meas_rate == 0.0
     with pytest.raises(ValueError):
         soft_model(PARAMS, 0.5)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_soft_model_names_a_non_finite_ratio(r):
+    with pytest.raises(ValueError, match=f"^squeeze ratio r must be >= 1 and finite, got {r}$"):
+        soft_model(PARAMS, r)

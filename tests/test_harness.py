@@ -16,8 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import levamp.harness as harness
-from levamp.dynamics import MIN_STEPS_PER_PERIOD, base_model, propagate
-from levamp.estimation import estimate_trial_outcome, readout_model, retrodiction_schedule
+from levamp.dynamics import MIN_STEPS_PER_PERIOD, base_model, propagate, steps
+from levamp.estimation import (
+    estimate_trial_outcome, readout_model, retrodiction_schedule, riccati_steady_state,
+)
 from levamp.harness import (
     DisplacementFit,
     Ensemble,
@@ -27,7 +29,6 @@ from levamp.harness import (
     ensemble_stats,
     fit_displacement_vs_tau,
     fit_k1,
-    model_for_segment,
     noise_budget,
     run_ensemble,
     run_schedule_noiseless,
@@ -218,16 +219,19 @@ def test_seeding_that_disagrees_with_numpy_stops_the_run(monkeypatch):
         run_ensemble(AMP, PARAMS, 4, 1)
 
 
-@pytest.mark.parametrize("entry", ["simulate_trial", "run_ensemble"])
+@pytest.mark.parametrize("entry", ["simulate_trial", "run_ensemble", "riccati_steady_state"])
 def test_both_entry_points_refuse_the_same_step_counts(entry):
     """Fewer than MIN_STEPS_PER_PERIOD steps, or a step count that is not
-    an int, is refused when the segments are planned; 200.0 also where
-    200 has been planned and cached."""
+    an int, is refused by the one step rule, ``dynamics.steps``: by the
+    two trial entry points when the segments are planned (200.0 also
+    where 200 has been planned and cached), and by the steady state."""
     schedule = build_for_ratio(PARAMS, 2.0, 0.0, 2.0 * PERIOD)
 
     def call(dt_per_period):
         if entry == "simulate_trial":
             return simulate_trial(schedule, PARAMS, 1, 0, dt_per_period=dt_per_period)
+        if entry == "riccati_steady_state":
+            return riccati_steady_state(MODEL, dt_per_period)
         return run_ensemble(schedule, PARAMS, 2, 1, dt_per_period=dt_per_period)
 
     call(MIN_STEPS_PER_PERIOD)
@@ -516,22 +520,76 @@ def test_noiseless_readout_rotation_is_periodic():
     assert np.allclose(full.cov, at_zero.cov, rtol=0.0, atol=1e-9)
 
 
-def test_model_for_segment_gates_and_rates():
-    with pytest.raises(ValueError, match="feedback_hold segment has no dynamics model"):
-        model_for_segment(PARAMS, Segment("feedback_hold", 1e-3))
-    soft = model_for_segment(PARAMS, Segment("soft", 1e-5, 0.5))
-    assert soft.meas_rate == 0.0
-    assert soft.diffusion_p == pytest.approx(PARAMS.gamma_qb)
-    readout = model_for_segment(PARAMS, Segment("readout", 1e-4))
-    assert readout.meas_rate == pytest.approx(4.0 * PARAMS.eta * PARAMS.gamma_qb)
-    assert readout.diffusion_p == pytest.approx(4.0 * PARAMS.gamma_qb)
-    assert readout == base_model(PARAMS) == MODEL
-    assert model_for_segment(PARAMS, Segment("free_base", 1e-6)) == MODEL
+def test_the_amplified_walk_is_soft_soft_carrying_the_kick_readout():
+    """The feedback hold is skipped; the kick rides on the second soft
+    half, and each soft half runs at r with its recoil diffusion scaled
+    by 1/r^2 and detection off."""
+    hold, soft, kick, _, readout = AMP.segments
+    walk = list(harness._walk(AMP, PARAMS))
+    assert [(dp, d) for dp, _, d in walk] == [
+        (None, soft.duration_s), (kick.kick_dp, soft.duration_s), (None, readout.duration_s)
+    ]
+    for _, model, _ in walk[:2]:
+        assert model.freq_ratio == pytest.approx(1.0 / R12, rel=1e-15)
+        assert model.meas_rate == 0.0
+        assert model.diffusion_p == pytest.approx(4.0 * PARAMS.gamma_qb / 12.0, rel=1e-15)
+    assert walk[2][1] == base_model(PARAMS) == MODEL
+    assert MODEL.meas_rate == pytest.approx(4.0 * PARAMS.eta * PARAMS.gamma_qb)
+    assert MODEL.diffusion_p == pytest.approx(4.0 * PARAMS.gamma_qb)
 
 
-def test_model_for_segment_rejects_a_softened_non_soft_segment():
-    with pytest.raises(ValueError, match="base frequency"):
-        model_for_segment(PARAMS, Segment("free_base", 1e-6, 0.5))
+def test_the_conventional_walk_is_the_base_lead_then_the_readout_carrying_the_kick():
+    """The 3.6 us lead after the feedback hold runs in the stiff trap and
+    measures (without feedback), so it has the readout's model."""
+    hold, lead, kick, readout = CONV.segments
+    assert list(harness._walk(CONV, PARAMS)) == [
+        (None, MODEL, lead.duration_s),
+        (kick.kick_dp, MODEL, readout.duration_s),
+    ]
+
+
+def test_the_walk_skips_zero_length_segments_and_the_kick_rides_past_them():
+    hold, lead, kick, readout = CONV.segments
+    for segments in (
+        (hold, dataclasses.replace(lead, duration_s=0.0), kick, readout),
+        (dataclasses.replace(hold, duration_s=0.0), kick, dataclasses.replace(lead, duration_s=0.0),
+         readout),
+    ):
+        schedule = dataclasses.replace(CONV, segments=segments)
+        assert list(harness._walk(schedule, PARAMS)) == [
+            (kick.kick_dp, MODEL, readout.duration_s)
+        ]
+
+
+def test_the_walk_refuses_a_softened_non_soft_segment():
+    hold, lead, kick, readout = CONV.segments
+    softened = dataclasses.replace(
+        CONV, segments=(hold, Segment("free_base", lead.duration_s, 0.5), kick, readout)
+    )
+    with pytest.raises(ValueError, match="free_base segment must run at the base frequency"):
+        list(harness._walk(softened, PARAMS))
+
+
+@pytest.mark.parametrize("schedule", [AMP, CONV], ids=["amplified", "conventional"])
+def test_the_plans_and_the_noiseless_map_see_the_same_kicks_and_models(schedule):
+    """Each plan takes its walk segment's kick, detection and the steps of
+    ``dynamics.steps``; stepping a mean through the plans' F with their
+    kicks, up to the readout, lands where the noiseless map does."""
+    walk = list(harness._walk(schedule, PARAMS))
+    plans, _ = harness._plan_segments(schedule, PARAMS, harness.DEFAULT_DT_PER_PERIOD)
+    assert [(p.kick_dp, p.sqrt_k, p.n_steps, p.dt) for p in plans] == [
+        (dp, math.sqrt(model.meas_rate), *steps(model, d, harness.DEFAULT_DT_PER_PERIOD))
+        for dp, model, d in walk
+    ]
+    start = GaussianState(np.array([0.7, -0.4]), np.eye(2))
+    x = start.mean.copy()
+    for plan in plans:
+        if plan.kick_dp is not None:
+            x[1] += plan.kick_dp
+        if plan is not plans[-1]:
+            x = np.linalg.matrix_power(plan.fwd[1], plan.n_steps) @ x
+    out = run_schedule_noiseless(schedule, PARAMS, start)
+    assert np.allclose(out.mean, x, rtol=0.0, atol=1e-9)
 
 
 def test_an_off_centre_kick_is_rejected_before_any_simulation():
@@ -728,6 +786,12 @@ def test_sensitivity_curve_improves_with_amplification():
         assert pt.dp_min_kev_c == pytest.approx(pt.dp_min_zp * 7.92, rel=1e-12)
     with pytest.raises(ValueError, match=">= 1"):
         sensitivity_curve(PARAMS, (0.5,), 200, 1)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_sensitivity_curve_names_a_non_finite_ratio(r):
+    with pytest.raises(ValueError, match=f"^squeeze ratio r must be >= 1 and finite, got {r}$"):
+        sensitivity_curve(PARAMS, (2.0, r), 12, 1)
 
 
 def test_derived_seeds_are_stable_and_distinct():
