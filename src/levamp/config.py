@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any
 
 from .dynamics import DEFAULT_DT_PER_PERIOD, MIN_STEPS_PER_PERIOD, CovarianceError
-from .estimation import prior_dependence, readout_model
+from .estimation import prior_dependence
 from .harness import MIN_STATS_TRIALS, _plan_segments
 from .params import OscillatorParams, kev_c_to_momentum, momentum_to_kev_c
 from .protocol import DEFAULT_READOUT_PERIODS, FEEDBACK_HOLD_TIME_CONSTANTS, build_for_ratio
@@ -191,7 +191,7 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
     # Every ratio reads out through the same model, steps and samples.
     ro = planned[0][0][-1]
     try:
-        dependence = prior_dependence(readout_model(params), ro.dt, ro.n_steps)
+        dependence = prior_dependence(ro.model, ro.dt, ro.n_steps)
     except (ValueError, CovarianceError):
         dependence = math.inf
     if not dependence <= MAX_PRIOR_DEPENDENCE:

@@ -92,11 +92,6 @@ class DynamicsModel:
         """Oscillation period at the current stiffness, seconds."""
         return 2.0 * math.pi / (self.omega * self.freq_ratio)
 
-    @property
-    def max_dt(self) -> float:
-        """Coarsest admissible integration step for this model."""
-        return self.local_period / MIN_STEPS_PER_PERIOD
-
     def noiseless(self) -> "DynamicsModel":
         """Copy with diffusion and measurement switched off."""
         return DynamicsModel(self.omega, self.freq_ratio)
@@ -186,24 +181,15 @@ def transition(model: DynamicsModel, dt: float) -> tuple[np.ndarray, np.ndarray]
 def steps(model: DynamicsModel, duration: float, steps_per_period: int) -> tuple[int, float]:
     """(n, dt): the fewest (at least one) equal steps over ``duration`` no
     longer than local_period / ``steps_per_period``, an integer of at least
-    MIN_STEPS_PER_PERIOD.  The package's one step-count rule."""
+    MIN_STEPS_PER_PERIOD.  The package's one step-count rule: a record's
+    spacing dt is fine where ``steps(model, dt, MIN_STEPS_PER_PERIOD)``
+    takes it as one step."""
     if operator.index(steps_per_period) < MIN_STEPS_PER_PERIOD:
         raise ValueError(
             f"dt_per_period must be at least {MIN_STEPS_PER_PERIOD}, got {steps_per_period}"
         )
     n = max(1, math.ceil(duration / (model.local_period / steps_per_period) - 1e-9))
     return n, duration / n
-
-
-def _check_dt(model: DynamicsModel, dt: float) -> None:
-    limit = model.max_dt
-    if dt > limit * (1.0 + 1e-9):
-        raise ValueError(
-            f"dt too coarse: require dt <= {limit:.6e} s "
-            f"({MIN_STEPS_PER_PERIOD} steps per local period), got {dt:.6e} s"
-        )
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise ValueError("dt must be positive and finite")
 
 
 def _check_pd(v, t: float) -> None:

@@ -43,10 +43,9 @@ import numpy as np
 from ._kernels import filter_backward
 from .dynamics import (
     DEFAULT_DT_PER_PERIOD,
+    MIN_STEPS_PER_PERIOD,
     CovarianceError,
     DynamicsModel,
-    _check_dt,
-    _check_pd,
     _flat,
     _joseph_update,
     _mat,
@@ -58,7 +57,7 @@ from .dynamics import (
 )
 from .protocol import require_valid
 from .records import MeasurementRecord
-from .state import _as_cov, _as_mean
+from .state import _as_cov, _as_mean, _is_pd
 
 # The retrodiction prior is nearly flat: covariance PRIOR_SCALE times
 # identity. The scale still shows in the results: on 1000-sample
@@ -97,7 +96,7 @@ def retrodict(record: MeasurementRecord, model: DynamicsModel) -> FilterState:
     cached fold of :func:`retrodiction_schedule`, keyed also by the
     record's gate: the mean at ``record.t0`` is record · weights,
     gated-off samples weighing zero.  The record must span at least one
-    base period.
+    base period and have a sample gated on.
     """
     min_span = model.local_period
     if record.duration < min_span * (1.0 - 1e-9):
@@ -105,7 +104,10 @@ def retrodict(record: MeasurementRecord, model: DynamicsModel) -> FilterState:
             f"record too short for retrodiction: spans {record.duration:.6e} s, "
             f"need at least one base period ({min_span:.6e} s)"
         )
-    weights, cov = _checked_fold(model, record.dt, record.gate.tobytes(), record.t0)
+    try:
+        weights, cov = _fold_schedule(model, record.dt, record.gate.tobytes(), PRIOR_SCALE)
+    except CovarianceError as err:  # the fold counts time from the first sample
+        raise _lost_pd(record.t0 + err.t) from err
     mean = filter_backward(np.where(record.gate, record.samples, 0.0)[None], weights)[0]
     return FilterState(estimate=mean, cov=_mat(cov), t=float(record.t0))
 
@@ -120,7 +122,7 @@ def retrodiction_schedule(
     depend on the record.  Every call returns fresh arrays.
     """
     # n gated-on samples, as the bytes of a bool gate (none if n < 1)
-    weights, cov = _checked_fold(model, dt, b"\x01" * operator.index(n))
+    weights, cov = _fold_schedule(model, dt, b"\x01" * operator.index(n), PRIOR_SCALE)
     return weights.copy(), _mat(cov)
 
 
@@ -134,52 +136,52 @@ def prior_dependence(model: DynamicsModel, dt: float, n: int) -> float:
     carries no information moves it tenfold.
     """
     gate = b"\x01" * operator.index(n)
-    _, (qq, _, pp) = _checked_fold(model, dt, gate)
-    _, (wide_qq, _, wide_pp) = _checked_fold(model, dt, gate, prior=10.0 * PRIOR_SCALE)
+    _, (qq, _, pp) = _fold_schedule(model, dt, gate, PRIOR_SCALE)
+    _, (wide_qq, _, wide_pp) = _fold_schedule(model, dt, gate, 10.0 * PRIOR_SCALE)
     return max(abs(wide_qq / qq - 1.0), abs(wide_pp / pp - 1.0))
 
 
-def _checked_fold(model: DynamicsModel, dt: float, gate: bytes, t0: float = 0.0,
-                  prior: float | None = None):
-    """The cached fold for samples spaced dt from t0, after checking its inputs.
-
-    The fold starts from ``prior`` times identity, PRIOR_SCALE where it
-    is None.  A covariance that loses positive definiteness is reported
-    at its sample's time, counted from ``t0``.
-    """
-    if len(gate) < 1:
-        raise ValueError("need at least one sample")
-    if model.meas_rate <= 0.0:
-        raise ValueError("retrodiction needs meas_rate > 0")
-    _check_dt(model, dt)
-    try:
-        return _fold_schedule(model, dt, gate, PRIOR_SCALE if prior is None else prior)
-    except CovarianceError as err:
-        t = t0 + err.t
-        raise CovarianceError(
-            f"retrodiction lost positive definiteness at t = {t:.6e} s", t
-        ) from err
+def _lost_pd(t: float) -> CovarianceError:
+    return CovarianceError(f"retrodiction lost positive definiteness at t = {t:.6e} s", t)
 
 
 @lru_cache(maxsize=16)
 def _fold_schedule(model, dt, gate, prior):
     """Backward filter over samples spaced dt, folded into record weights.
 
-    Cached by (model, dt, gate, prior), so a hit builds no transition.
-    ``gate`` holds the bytes of the record's bool gate.  Runs the
-    covariance from ``prior`` * I at the last sample down to the
-    first, checking it after every update (times counted from the first
-    sample), then folds the maps the mean goes through: with gain g_k at
-    sample k, mean = sum_k phi_k g_k y_k, where phi_0 = I and
+    Cached by (model, dt, gate, prior), so a hit builds no transition;
+    callers pass PRIOR_SCALE as read at the call.  ``gate`` holds the
+    bytes of the record's bool gate.  Checks its inputs (a call that
+    raises is not cached, so a hit needs none): a sample gated on,
+    meas_rate > 0, and dt one step of ``dynamics.steps``.  Runs the
+    covariance from ``prior`` * I at the last sample down to the first,
+    checking it by ``state._is_pd`` after every update (times counted
+    from the first sample), then folds the
+    maps the mean goes through: with gain g_k at sample k,
+    mean = sum_k phi_k g_k y_k, where phi_0 = I and
     phi_{k+1} = phi_k (I - sqrt_k g_k e0ᵀ) finv.  Returns read-only
     weights (n, 2) and the covariance at the first sample as
     (V_qq, V_qp, V_pp); neither depends on the record's values.
     """
+    on = np.frombuffer(gate, dtype=bool).tolist()
+    if not on:
+        raise ValueError("need at least one sample")
+    if not any(on):
+        raise ValueError("need at least one gated-on sample")
+    if model.meas_rate <= 0.0:
+        raise ValueError("retrodiction needs meas_rate > 0")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError("dt must be positive and finite")
+    # no dt past one period is a step; its count could leave float range
+    if steps(model, min(dt, model.local_period), MIN_STEPS_PER_PERIOD)[0] > 1:
+        raise ValueError(
+            f"dt too coarse: require dt <= {model.local_period / MIN_STEPS_PER_PERIOD:.6e} s "
+            f"({MIN_STEPS_PER_PERIOD} steps per local period), got {dt:.6e} s"
+        )
     f, qd = transition(model, dt)
     finv = _flat(np.linalg.inv(f))  # one time-reversed step, as floats
     qrev = _predict(_sym(qd), finv, (0.0, 0.0, 0.0))
     sqrt_k = math.sqrt(model.meas_rate)
-    on = np.frombuffer(gate, dtype=bool).tolist()
     n = len(on)
     inv_dt = 1.0 / dt
     gains = [(0.0, 0.0)] * n  # a gated-off sample gets zero gain
@@ -187,7 +189,8 @@ def _fold_schedule(model, dt, gate, prior):
     for k in range(n - 1, -1, -1):
         if on[k]:
             gains[k], cov = _joseph_update(cov, sqrt_k, inv_dt)
-            _check_pd(cov, k * dt)
+            if not _is_pd(*cov):
+                raise _lost_pd(k * dt)
         if k > 0:
             cov = _predict(cov, finv, qrev)
 

@@ -24,8 +24,10 @@ index, so results are bit-identical for any worker count.
 
 The per-trial noise sources and their budget: the thermal preparation
 contributes variance 2 n + 1 to the amplified position, the finite
-detection efficiency bounds the retrodiction variance by 1/sqrt(eta),
-and recoil heating during the soft phases adds 2 pi gamma_qb r / Omega.
+detection efficiency sets the retrodiction variance near 1/sqrt(eta)
+(9.4 % above it at the default 5-period readout, 0.15 % below at 12
+periods; see ``selftest``), and recoil heating during the soft phases
+adds 2 pi gamma_qb r / Omega.
 The minimum resolvable impulse is the quadrature sum divided by r.
 """
 
@@ -41,9 +43,9 @@ import numpy as np
 
 from . import _kernels
 from .dynamics import (
-    DEFAULT_DT_PER_PERIOD, base_model, propagate, soft_model, steps, transition,
+    DEFAULT_DT_PER_PERIOD, DynamicsModel, base_model, propagate, soft_model, steps, transition,
 )
-from .estimation import readout_model, retrodiction_schedule
+from .estimation import retrodiction_schedule
 from .params import OscillatorParams, db_ratio
 from .protocol import (
     DEFAULT_READOUT_PERIODS, MEASURED_KINDS, ProtocolSchedule, build_for_ratio, require_valid,
@@ -123,15 +125,17 @@ class Ensemble:
 @dataclass(frozen=True, eq=False)
 class _SegmentPlan:
     """One simulated segment: add ``kick_dp`` to P unless it is None, then
-    take ``n_steps`` steps x -> F x + L w, measuring where ``sqrt_k`` > 0.
-    ``fwd`` and ``g`` are ``_kernels.powers(F, L, n_steps)``."""
+    take ``n_steps`` steps x -> F x + L w under ``model``, measuring where
+    its meas_rate > 0.  ``fwd`` and ``g`` are ``_kernels.powers(F, L,
+    n_steps)``; the segment's draws start at column ``at`` of a trial's."""
 
     kick_dp: float | None
     n_steps: int
     dt: float
     fwd: np.ndarray
     g: np.ndarray
-    sqrt_k: float
+    model: DynamicsModel
+    at: int
 
 
 @lru_cache(maxsize=32, typed=True)
@@ -144,9 +148,10 @@ def _plan_segments(
 
     Each trial draws all of its normals in one call, laid out as 2 for
     the initial state, then per plan 2 n process normals, then n record
-    normals where it measures.  The layout depends only on the schedule,
-    never on data.  Cached, as every replayed trial and every config
-    check plans the same schedule again; the plans' arrays are read-only.
+    normals where it measures; a plan's ``at`` is where its draws start.
+    The layout depends only on the schedule, never on data.  Cached, as
+    every replayed trial and every config check plans the same schedule
+    again; the plans' arrays are read-only.
     The cache keys on the type of ``dt_per_period``, so 200.0 is refused
     by ``dynamics.steps`` even where 200 is held.
     """
@@ -155,11 +160,10 @@ def _plan_segments(
     for kick_dp, model, duration in _walk(schedule, params):
         n_steps, dt = steps(model, duration, dt_per_period)
         f, qd = transition(model, dt)
-        sqrt_k = math.sqrt(model.meas_rate)
-        total += (3 if sqrt_k > 0.0 else 2) * n_steps
         fwd, g = _kernels.powers(f, _kernels.chol2x2(qd), n_steps)
         fwd.flags.writeable = g.flags.writeable = False
-        plans.append(_SegmentPlan(kick_dp, n_steps, dt, fwd, g, sqrt_k))
+        plans.append(_SegmentPlan(kick_dp, n_steps, dt, fwd, g, model, total))
+        total += (3 if model.meas_rate > 0.0 else 2) * n_steps
     return tuple(plans), total
 
 
@@ -271,19 +275,18 @@ def _simulate_batch(start, stop, plans, master_seed, init_std, z, y):
     _fill_normals(master_seed, start, z)
 
     x = init_std * z[:, :2]
-    at = 2
     for plan in plans:
         if plan.kick_dp is not None:
             x[:, 1] += plan.kick_dp
-        n = plan.n_steps
+        n, at = plan.n_steps, plan.at
         w = z[:, at:at + 2 * n].reshape(m, n, 2)
         if plan is plans[-1]:
             v = z[:, at + 2 * n:at + 3 * n]
             return x, _kernels.roll_record(
-                x, plan.fwd, plan.g, w, v, plan.sqrt_k, 1.0 / math.sqrt(plan.dt), out=y[:m]
+                x, plan.fwd, plan.g, w, v, math.sqrt(plan.model.meas_rate),
+                1.0 / math.sqrt(plan.dt), out=y[:m],
             )[1]
         x = _kernels.roll(x, plan.fwd, plan.g, w)
-        at += (3 if plan.sqrt_k > 0.0 else 2) * n
 
 
 def run_ensemble(
@@ -314,7 +317,7 @@ def run_ensemble(
     plans, total = _plan_segments(schedule, params, dt_per_period)
     ro = plans[-1]  # a valid schedule ends with a measured readout
 
-    weights, est_cov = retrodiction_schedule(readout_model(params), ro.dt, ro.n_steps)
+    weights, est_cov = retrodiction_schedule(ro.model, ro.dt, ro.n_steps)
     init_std = _trial_init_std(params)
     batch = max(1, min(BATCH_BYTES // (8 * (total + ro.n_steps)), -(-n_trials // workers)))
     starts = range(0, n_trials, batch)

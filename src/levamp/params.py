@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 HBAR = 1.054571817e-34  # J s
@@ -69,7 +69,8 @@ class OscillatorParams:
 
     Rates are stored as the quoted cyclic frequencies; the omega,
     gamma_qb and gamma_fb properties expose the angular values used by
-    every internal equation of motion.
+    every internal equation of motion.  Every field must be finite
+    (p_zp_override may be None).
     """
 
     mass_kg: float = 1.2e-18
@@ -83,6 +84,10 @@ class OscillatorParams:
     p_zp_override: float | None = 7.92 * 1000.0 * EV_C_MOMENTUM
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"parameter {f.name} must be finite, got {value}")
         checks = [
             ("mass_kg", self.mass_kg > 0.0, "> 0"),
             ("freq_hz", self.freq_hz > 0.0, "> 0"),
@@ -91,7 +96,6 @@ class OscillatorParams:
             ("n_init", self.n_init >= 0.0, ">= 0"),
             ("kappa_imp", self.kappa_imp >= 0.0, ">= 0"),
             ("gamma_fb_hz", self.gamma_fb_hz > 0.0, "> 0"),
-            ("pulse_voltage_v", math.isfinite(self.pulse_voltage_v), "finite"),
             (
                 "gamma_qb_hz",
                 self.gamma_qb_hz < self.freq_hz,

@@ -15,7 +15,8 @@ the symmetric 2x2 (V_qq, V_qp, V_pp) as floats, V_qq > 0, V_pp > 0 and
 det = V_qq V_pp - V_qp^2 > 0 and finite.  A det that overflows is
 refused.  :class:`GaussianState` and ``estimation.FilterState`` apply it
 to their covariance; ``dynamics.propagate`` and the retrodiction fold
-apply it to every covariance they compute.
+apply it to every covariance they compute.  ``_kernels.chol2x2`` alone
+judges by its own Cholesky pivots.
 """
 
 from __future__ import annotations

@@ -43,7 +43,9 @@ ESTIMATION = "src/levamp/estimation.py"
 RECORDS = "src/levamp/records.py"
 STATE = "src/levamp/state.py"
 DYNAMICS = "src/levamp/dynamics.py"
+PARAMS = "src/levamp/params.py"
 T_HARNESS = "tests/test_harness.py::"
+T_ESTIMATION = "tests/test_estimation.py::"
 T_KERNELS = "tests/test_kernels.py::"
 T_RECORDS = "tests/test_records.py::"
 T_STATE = "tests/test_state.py::"
@@ -139,9 +141,10 @@ MUTANTS = (
     # draw layout, CSV text, the fold
     Mutant(
         "step-over-unmeasured-record", HARNESS,
-        "at += (3 if plan.sqrt_k > 0.0 else 2) * n",
-        "at += 3 * n",
-        (T_HARNESS + "test_draw_order_reproduces_the_frozen_trials",),
+        "total += (3 if model.meas_rate > 0.0 else 2) * n_steps",
+        "total += 3 * n_steps",
+        (T_HARNESS + "test_draw_order_reproduces_the_frozen_trials",
+         T_HARNESS + "test_each_plan_starts_its_draws_where_the_plans_before_it_end"),
     ),
     Mutant(
         "csv-ten-digits", HARNESS,
@@ -157,9 +160,31 @@ MUTANTS = (
     ),
     Mutant(
         "prior-check-folds-one-prior", ESTIMATION,
-        "prior=10.0 * PRIOR_SCALE)",
-        "prior=PRIOR_SCALE)",
+        "10.0 * PRIOR_SCALE)",
+        "PRIOR_SCALE)",
         ("tests/test_cli.py::test_a_readout_that_the_prior_decides_exits_before_any_output",),
+    ),
+    Mutant(
+        "fold-loosens-the-record-dt-bound", ESTIMATION,
+        "MIN_STEPS_PER_PERIOD)[0] > 1:\n",
+        "MIN_STEPS_PER_PERIOD)[0] > 2:\n",
+        (T_ESTIMATION + "test_a_spacing_just_past_the_step_bound_is_refused_and_just_inside"
+         "_accepted",),
+    ),
+    Mutant(
+        "fold-accepts-an-all-off-gate", ESTIMATION,
+        "    if not any(on):\n"
+        '        raise ValueError("need at least one gated-on sample")\n',
+        "",
+        (T_ESTIMATION + "test_a_record_with_no_sample_gated_on_is_refused",
+         T_RECORDS + "test_a_csv_record_with_every_gate_off_is_refused_by_retrodiction"),
+    ),
+    # parameters
+    Mutant(
+        "params-skip-the-finite-check", PARAMS,
+        "            if value is not None and not math.isfinite(value):\n",
+        "            if False:\n",
+        ("tests/test_params.py::test_every_field_must_be_finite",),
     ),
     # the one positive-definite rule and the state checks
     Mutant(

@@ -367,10 +367,54 @@ def test_retrodict_rejects_short_records_coarse_steps_and_no_detection():
         riccati_steady_state(blind)
 
 
-@pytest.mark.parametrize("dt", [0.0, -1e-7, np.nan])
+@pytest.mark.parametrize("dt", [0.0, -1e-7, np.nan, np.inf])
 def test_a_schedule_needs_a_positive_finite_step(dt):
     with pytest.raises(ValueError, match="^dt must be positive and finite$"):
         retrodiction_schedule(MODEL, dt, 400)
+
+
+@pytest.mark.parametrize("entry", ["retrodict", "retrodiction_schedule"])
+def test_a_spacing_just_past_the_step_bound_is_refused_and_just_inside_accepted(entry):
+    """The bound is local_period / MIN_STEPS_PER_PERIOD with a 1e-9 margin:
+    2e-9 inside it is one step of ``dynamics.steps``, 2e-9 past it two."""
+    limit = MODEL.local_period / 50
+
+    def fold(dt):
+        if entry == "retrodict":
+            return retrodict(flat_record(51, dt=dt), MODEL)
+        return retrodiction_schedule(MODEL, dt, 51)
+
+    fold(limit * (1.0 - 2e-9))
+    for dt in (limit * (1.0 + 2e-9), 1e305):  # 1e305 s: a step count past float range
+        with pytest.raises(ValueError, match=r"^dt too coarse: require dt <= 3\.846154e-07 s "
+                                             r"\(50 steps per local period\)"):
+            fold(dt)
+
+
+def test_a_refused_fold_is_refused_again_and_never_cached():
+    """The fold checks its own inputs on every miss, and a call that
+    raises leaves nothing in the cache, so a hit never skips a check."""
+    off = MeasurementRecord(0.0, DT, np.full(400, np.nan), np.zeros(400, dtype=bool))
+    calls = [
+        lambda: retrodiction_schedule(MODEL, PERIOD / 10.0, 400),
+        lambda: retrodiction_schedule(MODEL, DT, 0),
+        lambda: retrodiction_schedule(base_model(PARAMS, measurement_on=False), DT, 400),
+        lambda: retrodict(off, MODEL),
+    ]
+    _fold_schedule.cache_clear()  # a full cache would hide an insertion
+    for call in calls:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                call()
+    assert _fold_schedule.cache_info().currsize == 0
+
+
+def test_a_record_with_no_sample_gated_on_is_refused():
+    """With nothing gated on the fold would return the prior's mean and
+    covariance as if it were an estimate."""
+    off = MeasurementRecord(0.0, DT, np.full(400, np.nan), np.zeros(400, dtype=bool))
+    with pytest.raises(ValueError, match="^need at least one gated-on sample$"):
+        retrodict(off, MODEL)
 
 
 def test_an_overflowing_prior_names_a_sample_time_inside_the_record(monkeypatch):

@@ -577,8 +577,8 @@ def test_the_plans_and_the_noiseless_map_see_the_same_kicks_and_models(schedule)
     kicks, up to the readout, lands where the noiseless map does."""
     walk = list(harness._walk(schedule, PARAMS))
     plans, _ = harness._plan_segments(schedule, PARAMS, harness.DEFAULT_DT_PER_PERIOD)
-    assert [(p.kick_dp, p.sqrt_k, p.n_steps, p.dt) for p in plans] == [
-        (dp, math.sqrt(model.meas_rate), *steps(model, d, harness.DEFAULT_DT_PER_PERIOD))
+    assert [(p.kick_dp, p.model, p.n_steps, p.dt) for p in plans] == [
+        (dp, model, *steps(model, d, harness.DEFAULT_DT_PER_PERIOD))
         for dp, model, d in walk
     ]
     start = GaussianState(np.array([0.7, -0.4]), np.eye(2))
@@ -590,6 +590,21 @@ def test_the_plans_and_the_noiseless_map_see_the_same_kicks_and_models(schedule)
             x = np.linalg.matrix_power(plan.fwd[1], plan.n_steps) @ x
     out = run_schedule_noiseless(schedule, PARAMS, start)
     assert np.allclose(out.mean, x, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("schedule", [AMP, CONV], ids=["amplified", "conventional"])
+def test_each_plan_starts_its_draws_where_the_plans_before_it_end(schedule):
+    """Plan j's draws start after the 2 initial-state normals and the
+    2 n process and, where a plan measures, n record normals of each plan
+    before it; the measured readout's record normals end the row.  The
+    readout plans the model that retrodicts it."""
+    plans, total = harness._plan_segments(schedule, PARAMS, harness.DEFAULT_DT_PER_PERIOD)
+    at = 2
+    for plan in plans:
+        assert plan.at == at
+        at += (3 if plan.model.meas_rate > 0.0 else 2) * plan.n_steps
+    assert plans[-1].at + 3 * plans[-1].n_steps == at == total
+    assert plans[-1].model == readout_model(PARAMS)
 
 
 def test_an_off_centre_kick_is_rejected_before_any_simulation():

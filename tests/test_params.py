@@ -1,5 +1,6 @@
 """Unit conversions, parameter validation, and pulse-to-impulse mapping."""
 
+import dataclasses
 import math
 import warnings
 
@@ -152,6 +153,15 @@ def test_angular_frequency_properties():
 )
 def test_parameter_validation(key, value, fragment):
     with pytest.raises(ValueError, match=fragment):
+        PARAMS.with_(**{key: value})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(OscillatorParams)])
+def test_every_field_must_be_finite(key, value):
+    """A non-finite field is refused by name before any other check, so
+    it cannot run an ensemble into NaN kicks or infinite durations."""
+    with pytest.raises(ValueError, match=f"^parameter {key} must be finite, got "):
         PARAMS.with_(**{key: value})
 
 

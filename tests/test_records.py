@@ -12,6 +12,7 @@ import reference_records
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from levamp.estimation import readout_model, retrodict
 from levamp.harness import simulate_trial
 from levamp.params import OscillatorParams
 from levamp.protocol import build_for_ratio
@@ -51,6 +52,21 @@ def test_csv_round_trip(tmp_path):
     assert back.dt == pytest.approx(rec.dt, rel=1e-15)
     assert np.allclose(back.samples, rec.samples, rtol=0.0, atol=1e-15)
     assert np.array_equal(back.gate, rec.gate)
+
+
+def test_a_csv_record_with_every_gate_off_is_refused_by_retrodiction(tmp_path):
+    """The file reads back, but its record carries no sample to estimate from."""
+    params = OscillatorParams()
+    n = 400
+    path = tmp_path / "off.csv"
+    write_record_csv(
+        MeasurementRecord(0.0, params.period_s / 200, np.full(n, np.nan), np.zeros(n, dtype=bool)),
+        path,
+    )
+    back = read_record_csv(path)
+    assert not back.gate.any()
+    with pytest.raises(ValueError, match="^need at least one gated-on sample$"):
+        retrodict(back, readout_model(params))
 
 
 def test_csv_round_trip_keeps_gated_off_samples_nan(tmp_path):
