@@ -1,6 +1,6 @@
 """JSON run configuration: parsing, validation, defaults.
 
-A config file is a single flat JSON object. Physical keys map onto
+A config file is a single flat JSON object. Physical keys are the
 OscillatorParams fields; run keys control ensemble size and grids.
 Unknown keys are a hard error so typos cannot silently fall back to
 defaults. Every validation error names the offending key and the
@@ -21,8 +21,8 @@ from typing import Any
 
 from .dynamics import DEFAULT_DT_PER_PERIOD, MIN_STEPS_PER_PERIOD, CovarianceError
 from .estimation import prior_dependence
-from .harness import MIN_STATS_TRIALS, _plan_segments
-from .params import OscillatorParams, kev_c_to_momentum, momentum_to_kev_c
+from .harness import MIN_STATS_TRIALS, TrialBudgetError, _plan_segments
+from .params import OscillatorParams
 from .protocol import DEFAULT_READOUT_PERIODS, FEEDBACK_HOLD_TIME_CONSTANTS, build_for_ratio
 
 # Squeezing beyond this is outside the validated regime: the soft trap
@@ -30,11 +30,6 @@ from .protocol import DEFAULT_READOUT_PERIODS, FEEDBACK_HOLD_TIME_CONSTANTS, bui
 # which are modeled here, dominate the real transfer. Reject rather than
 # extrapolate.
 R_MAX = 6.0
-
-# Normal draws one trial may plan: 8 MB of them, so a worker's batch
-# (harness.BATCH_BYTES) then holds a single trial.  The presets plan
-# about 3200, the selftest about 7400.
-MAX_DRAWS_PER_TRIAL = 1_000_000
 
 # How far the retrodiction prior may set the reported covariance: widening
 # it tenfold may move the covariance's diagonal by this much, relative.
@@ -56,12 +51,7 @@ class RunConfig:
     dt_per_period: int = DEFAULT_DT_PER_PERIOD
 
 
-# The param keys are the OscillatorParams fields, except that the
-# calibrated zero-point momentum is given in keV/c (null unpins it).
-_P_ZP_KEY = "p_zp_kev_c"
-_PARAM_KEYS = tuple(
-    _P_ZP_KEY if f.name == "p_zp_override" else f.name for f in fields(OscillatorParams)
-)
+_PARAM_KEYS = tuple(f.name for f in fields(OscillatorParams))
 _RUN_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "params")
 
 
@@ -113,13 +103,8 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
     param_kwargs = {}
     for key in [key for key in _PARAM_KEYS if key in raw]:
         value = raw[key]
-        if key == _P_ZP_KEY:
-            if value is None:
-                param_kwargs["p_zp_override"] = None
-                continue
-            value = _number(value, key, "a number or null")
-            _require(0.0 < value < math.inf, key, "finite and > 0, or null", value)
-            param_kwargs["p_zp_override"] = kev_c_to_momentum(value)
+        if key == "p_zp_kev_c" and value is None:  # null: report the nominal p_zp
+            param_kwargs[key] = None
             continue
         value = _number(value, key)
         _require(math.isfinite(value), key, "finite", value)
@@ -173,21 +158,18 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
             _plan_segments(build_for_ratio(params, r, 0.0, readout), params, dt_per_period)
             for r in (1.0, R_MAX)
         ]
-        draws = max(total for _, total in planned)
-    except OverflowError:  # a step count or step length past float range
-        draws = math.inf
+    except TrialBudgetError as exc:
+        raise ConfigError(
+            f"config keys 'readout_periods' and 'dt_per_period' must plan at most BATCH_BYTES "
+            f"of draws and readout record per trial, got readout_periods = "
+            f"{readout_periods!r}, dt_per_period = {dt_per_period!r}: {exc}"
+        ) from exc
     except ValueError as exc:  # chol2x2: a step's process noise underflows to singular
         raise ConfigError(
             f"config key 'gamma_qb_hz' must give every planned step a positive definite "
             f"process noise, got {params.gamma_qb_hz!r} at dt_per_period = "
             f"{dt_per_period!r} ({exc})"
         ) from exc
-    if draws > MAX_DRAWS_PER_TRIAL:
-        raise ConfigError(
-            f"config keys 'readout_periods' and 'dt_per_period' must plan at most "
-            f"{MAX_DRAWS_PER_TRIAL} normal draws per trial, got {draws:.3g} from "
-            f"readout_periods = {readout_periods!r}, dt_per_period = {dt_per_period!r}"
-        )
     # Every ratio reads out through the same model, steps and samples.
     ro = planned[0][0][-1]
     try:
@@ -217,12 +199,10 @@ def manifest_inputs(cfg: RunConfig) -> dict[str, dict[str, Any]]:
     """The ``params`` and ``run`` key blocks of ``cfg``, JSON-ready.
 
     The inverse of ``config_from_dict``: their union read back gives
-    ``cfg`` again (``p_zp_kev_c`` to one ulp of the unit conversion).
+    ``cfg`` again.
     """
-    p = cfg.params
-    params = {key: getattr(p, key) for key in _PARAM_KEYS if key != _P_ZP_KEY}
-    params[_P_ZP_KEY] = None if p.p_zp_override is None else momentum_to_kev_c(p.p_zp_override)
-    return {"params": params, "run": {key: getattr(cfg, key) for key in _RUN_KEYS}}
+    return {"params": {key: getattr(cfg.params, key) for key in _PARAM_KEYS},
+            "run": {key: getattr(cfg, key) for key in _RUN_KEYS}}
 
 
 def load_config(path: str | Path | None, overrides: dict[str, Any] | None = None) -> RunConfig:

@@ -95,15 +95,9 @@ def retrodict(record: MeasurementRecord, model: DynamicsModel) -> FilterState:
     The backward filter from the last sample down to the first is the
     cached fold of :func:`retrodiction_schedule`, keyed also by the
     record's gate: the mean at ``record.t0`` is record · weights,
-    gated-off samples weighing zero.  The record must span at least one
-    base period and have a sample gated on.
+    gated-off samples weighing zero.  The fold checks that the record
+    spans at least one base period and has a sample gated on.
     """
-    min_span = model.local_period
-    if record.duration < min_span * (1.0 - 1e-9):
-        raise ValueError(
-            f"record too short for retrodiction: spans {record.duration:.6e} s, "
-            f"need at least one base period ({min_span:.6e} s)"
-        )
     try:
         weights, cov = _fold_schedule(model, record.dt, record.gate.tobytes(), PRIOR_SCALE)
     except CovarianceError as err:  # the fold counts time from the first sample
@@ -153,7 +147,8 @@ def _fold_schedule(model, dt, gate, prior):
     callers pass PRIOR_SCALE as read at the call.  ``gate`` holds the
     bytes of the record's bool gate.  Checks its inputs (a call that
     raises is not cached, so a hit needs none): a sample gated on,
-    meas_rate > 0, and dt one step of ``dynamics.steps``.  Runs the
+    meas_rate > 0, dt one step of ``dynamics.steps``, and n dt at least
+    one local period (a full quadrature rotation).  Runs the
     covariance from ``prior`` * I at the last sample down to the first,
     checking it by ``state._is_pd`` after every update (times counted
     from the first sample), then folds the
@@ -178,11 +173,16 @@ def _fold_schedule(model, dt, gate, prior):
             f"dt too coarse: require dt <= {model.local_period / MIN_STEPS_PER_PERIOD:.6e} s "
             f"({MIN_STEPS_PER_PERIOD} steps per local period), got {dt:.6e} s"
         )
+    n = len(on)
+    if n * dt < model.local_period * (1.0 - 1e-9):
+        raise ValueError(
+            f"record too short for retrodiction: spans {n * dt:.6e} s, "
+            f"need at least one base period ({model.local_period:.6e} s)"
+        )
     f, qd = transition(model, dt)
     finv = _flat(np.linalg.inv(f))  # one time-reversed step, as floats
     qrev = _predict(_sym(qd), finv, (0.0, 0.0, 0.0))
     sqrt_k = math.sqrt(model.meas_rate)
-    n = len(on)
     inv_dt = 1.0 / dt
     gains = [(0.0, 0.0)] * n  # a gated-off sample gets zero gain
     cov = (prior, 0.0, prior)

@@ -54,9 +54,13 @@ from .records import MeasurementRecord
 from .state import GaussianState, _check_ratio, apply_impulse
 
 # The bytes a batch of trials may hold in normal draws and readout
-# records (a trial past it runs alone); a lane's buffers hold one batch.
+# records; a lane's buffers hold one batch, and a trial past it is refused.
 BATCH_BYTES = 8 << 20
 MIN_STATS_TRIALS = 10
+
+
+class TrialBudgetError(ValueError):
+    """A trial's draws and readout record would not fit in BATCH_BYTES."""
 
 
 def _usable_cpus() -> int:
@@ -149,16 +153,32 @@ def _plan_segments(
     Each trial draws all of its normals in one call, laid out as 2 for
     the initial state, then per plan 2 n process normals, then n record
     normals where it measures; a plan's ``at`` is where its draws start.
-    The layout depends only on the schedule, never on data.  Cached, as
-    every replayed trial and every config check plans the same schedule
-    again; the plans' arrays are read-only.
+    The layout depends only on the schedule, never on data.  A trial
+    whose draws and readout record exceed BATCH_BYTES, or whose step
+    count leaves float range, raises TrialBudgetError before any array
+    is built.  Cached, as every replayed trial and every config check
+    plans the same schedule again; the plans' arrays are read-only.
     The cache keys on the type of ``dt_per_period``, so 200.0 is refused
     by ``dynamics.steps`` even where 200 is held.
     """
+    walked = []
+    for kick_dp, model, duration in _walk(schedule, params):
+        try:
+            n_steps, dt = steps(model, duration, dt_per_period)
+        except OverflowError:  # a step count or step length past float range
+            n_steps, dt = math.inf, 0.0
+        walked.append((kick_dp, model, n_steps, dt))
+    n_readout = walked[-1][2]  # a valid schedule ends with a measured readout
+    draws = sum((3 if model.meas_rate > 0.0 else 2) * float(n) for _, model, n, _ in walked)
+    need = 8.0 * (2 + draws + n_readout)
+    if not need <= BATCH_BYTES:
+        raise TrialBudgetError(
+            f"a trial with a readout of {n_readout:.4g} steps needs {need:.4g} bytes of "
+            f"draws and readout record, past BATCH_BYTES = {BATCH_BYTES}"
+        )
     plans: list[_SegmentPlan] = []
     total = 2
-    for kick_dp, model, duration in _walk(schedule, params):
-        n_steps, dt = steps(model, duration, dt_per_period)
+    for kick_dp, model, n_steps, dt in walked:
         f, qd = transition(model, dt)
         fwd, g = _kernels.powers(f, _kernels.chol2x2(qd), n_steps)
         fwd.flags.writeable = g.flags.writeable = False
@@ -302,8 +322,8 @@ def run_ensemble(
 
     Each trial starts from the thermal preparation at the end of the
     feedback hold.  The result is bit-identical for any ``workers`` >= 1.
-    A batch holds at most BATCH_BYTES of draws and readout record (one
-    trial where a trial needs more) and at most ceil(n_trials / workers)
+    A batch holds at most BATCH_BYTES of draws and readout record, which
+    planning ensures a trial fits, and at most ceil(n_trials / workers)
     trials, so a 200-trial ensemble on two workers runs as two batches
     at once.  Lane k of min(workers, batches) runs batches k, k + lanes,
     ... through its own draw and record buffers, made once per call.
@@ -319,7 +339,7 @@ def run_ensemble(
 
     weights, est_cov = retrodiction_schedule(ro.model, ro.dt, ro.n_steps)
     init_std = _trial_init_std(params)
-    batch = max(1, min(BATCH_BYTES // (8 * (total + ro.n_steps)), -(-n_trials // workers)))
+    batch = min(BATCH_BYTES // (8 * (total + ro.n_steps)), -(-n_trials // workers))
     starts = range(0, n_trials, batch)
     lanes = min(workers, len(starts))
 

@@ -60,17 +60,17 @@ class OscillatorParams:
     kappa_imp       impulse transduction, zp momentum per volt-second
     gamma_fb_hz     cold-damping feedback rate gamma_fb / 2 pi
     pulse_voltage_v electrode pulse amplitude
-    p_zp_override   calibrated zero-point momentum in kg m/s used by
+    p_zp_kev_c      calibrated zero-point momentum in keV/c used by
                     reporting layers; None falls back to the nominal
-                    sqrt(hbar m Omega / 2). The default corresponds to
-                    7.92 keV/c, the absolute scale consistent with the
-                    quoted dB figures, while the nominal parameters give
-                    about 8.51 keV/c.
+                    sqrt(hbar m Omega / 2). The default 7.92 keV/c is
+                    the absolute scale consistent with the quoted dB
+                    figures, while the nominal parameters give about
+                    8.51 keV/c.
 
     Rates are stored as the quoted cyclic frequencies; the omega,
     gamma_qb and gamma_fb properties expose the angular values used by
     every internal equation of motion.  Every field must be finite
-    (p_zp_override may be None).
+    (p_zp_kev_c may be None).
     """
 
     mass_kg: float = 1.2e-18
@@ -81,7 +81,7 @@ class OscillatorParams:
     kappa_imp: float = 6.0e6
     gamma_fb_hz: float = 2.0e3
     pulse_voltage_v: float = 2.0
-    p_zp_override: float | None = 7.92 * 1000.0 * EV_C_MOMENTUM
+    p_zp_kev_c: float | None = 7.92
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -102,8 +102,8 @@ class OscillatorParams:
                 "< freq_hz (weak-coupling regime assumed by the noise model)",
             ),
         ]
-        if self.p_zp_override is not None:
-            checks.append(("p_zp_override", self.p_zp_override > 0.0, "> 0 or None"))
+        if self.p_zp_kev_c is not None:
+            checks.append(("p_zp_kev_c", self.p_zp_kev_c > 0.0, "> 0 or None"))
         for key, ok, constraint in checks:
             if not ok:
                 raise ValueError(
@@ -129,14 +129,11 @@ class OscillatorParams:
     def period_s(self) -> float:
         return 1.0 / self.freq_hz
 
-    def p_zp_report_si(self) -> float:
-        """Zero-point momentum used for absolute-unit reporting, kg m/s."""
-        if self.p_zp_override is not None:
-            return self.p_zp_override
-        return zero_point_momentum(self)
-
     def p_zp_report_kev_c(self) -> float:
-        return momentum_to_kev_c(self.p_zp_report_si())
+        """Zero-point momentum used for absolute-unit reporting, keV/c."""
+        if self.p_zp_kev_c is not None:
+            return self.p_zp_kev_c
+        return momentum_to_kev_c(zero_point_momentum(self))
 
     def with_(self, **kwargs) -> "OscillatorParams":
         """Return a copy with the given fields replaced (revalidated)."""
@@ -146,7 +143,7 @@ class OscillatorParams:
 def zero_point_momentum(params: OscillatorParams) -> float:
     """Nominal zero-point momentum sqrt(hbar m Omega / 2) in kg m/s.
 
-    Always the nominal value; reporting layers apply p_zp_override
+    Always the nominal value; reporting layers apply p_zp_kev_c
     themselves when it is set.
     """
     return math.sqrt(HBAR * params.mass_kg * params.omega / 2.0)

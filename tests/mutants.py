@@ -100,6 +100,12 @@ MUTANTS = (
          T_HARNESS + "test_noiseless_protocol_map"),
     ),
     Mutant(
+        "plan-skips-the-trial-budget", HARNESS,
+        "    if not need <= BATCH_BYTES:\n",
+        "    if False:\n",
+        (T_HARNESS + "test_a_trial_past_the_batch_budget_is_refused_before_allocating",),
+    ),
+    Mutant(
         "plan-cache-ignores-type", HARNESS,
         "@lru_cache(maxsize=32, typed=True)\ndef _plan_segments(",
         "@lru_cache(maxsize=32)\ndef _plan_segments(",
@@ -114,8 +120,8 @@ MUTANTS = (
     ),
     Mutant(
         "split-ignores-byte-cap", HARNESS,
-        "batch = max(1, min(BATCH_BYTES // (8 * (total + ro.n_steps)), -(-n_trials // workers)))",
-        "batch = max(1, -(-n_trials // workers))",
+        "batch = min(BATCH_BYTES // (8 * (total + ro.n_steps)), -(-n_trials // workers))",
+        "batch = -(-n_trials // workers)",
         (T_HARNESS + "test_a_batch_holds_at_most_its_byte_budget",),
     ),
     Mutant(
@@ -170,6 +176,12 @@ MUTANTS = (
         "MIN_STEPS_PER_PERIOD)[0] > 2:\n",
         (T_ESTIMATION + "test_a_spacing_just_past_the_step_bound_is_refused_and_just_inside"
          "_accepted",),
+    ),
+    Mutant(
+        "fold-skips-the-span-rule", ESTIMATION,
+        "    if n * dt < model.local_period * (1.0 - 1e-9):\n",
+        "    if False:\n",
+        (T_HARNESS + "test_every_entry_point_refuses_a_readout_shorter_than_a_period",),
     ),
     Mutant(
         "fold-accepts-an-all-off-gate", ESTIMATION,

@@ -30,7 +30,7 @@ def test_amplified_preset_writes_the_standard_bundle(tmp_path):
     assert manifest["command"] == "run fig3-amplified"
     assert manifest["seed"] == 7
     assert manifest["run"]["n_trials"] == 12
-    assert manifest["params"]["p_zp_kev_c"] == pytest.approx(7.92, rel=1e-12)
+    assert manifest["params"]["p_zp_kev_c"] == 7.92
     assert manifest["outputs"] == ["ensemble.csv", "manifest.json", "schedule.json"]
     header = (out / "ensemble.csv").read_text().splitlines()[0]
     assert header == "trial_index,q_est,p_est,q_true,p_true"

@@ -475,7 +475,7 @@ def test_writing_into_a_schedule_leaves_the_cache_intact():
 def test_each_cached_key_equals_its_own_cold_fold_bit_for_bit():
     cases = [
         (MODEL, DT, 300),
-        (MODEL, DT / 2.0, 300),
+        (MODEL, DT / 2.0, 600),
         (MODEL, DT, 301),
         (readout_model(PARAMS.with_(eta=0.5)), DT, 300),
     ]

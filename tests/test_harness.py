@@ -244,6 +244,57 @@ def test_both_entry_points_refuse_the_same_step_counts(entry):
             call(d)
 
 
+def test_every_entry_point_refuses_a_readout_shorter_than_a_period():
+    """The builders refuse a half-period readout, but a hand-built schedule
+    carries one to the retrodiction fold, which refuses it for the ensemble,
+    for the replay of a trial's record and for the schedule alike."""
+    built = build_for_ratio(PARAMS, 2.0, 0.0)
+    schedule = dataclasses.replace(
+        built, segments=built.segments[:-1] + (Segment("readout", 0.5 * PERIOD),)
+    )
+    _, records = simulate_trial(schedule, PARAMS, 1, 0)
+    (record,) = records
+    messages = []
+    for call in (
+        lambda: run_ensemble(schedule, PARAMS, 10, 1),
+        lambda: estimate_trial_outcome(records, MODEL, schedule),
+        lambda: retrodiction_schedule(MODEL, record.dt, len(record)),
+    ):
+        with pytest.raises(ValueError, match="^record too short for retrodiction: ") as info:
+            call()
+        messages.append(str(info.value))
+    assert messages == [messages[0]] * 3
+    assert messages[0].endswith(f"need at least one base period ({PERIOD:.6e} s)")
+
+
+@pytest.mark.parametrize("readout", [1e300, 1400.0 * PERIOD], ids=["1e300s", "1400-periods"])
+@pytest.mark.parametrize("entry", ["run_ensemble", "simulate_trial"])
+def test_a_trial_past_the_batch_budget_is_refused_before_allocating(entry, readout):
+    """Draws and readout record past BATCH_BYTES are refused when the
+    schedule is planned, with a ValueError naming the readout's steps and
+    the bytes needed: a step count past float range does not surface as
+    numpy's OverflowError, and nothing the size of the trial is allocated."""
+    schedule = build_for_ratio(PARAMS, 2.0, 0.0, readout)
+    tracemalloc.start()
+    try:
+        with pytest.raises(harness.TrialBudgetError) as info:
+            if entry == "run_ensemble":
+                run_ensemble(schedule, PARAMS, 2, 1)
+            else:
+                simulate_trial(schedule, PARAMS, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_readout, _ = steps(MODEL, readout, harness.DEFAULT_DT_PER_PERIOD)
+    head = f"a trial with a readout of {n_readout:.4g} steps needs "
+    message = str(info.value)
+    assert message.startswith(head)
+    need, tail = message[len(head):].split(" ", 1)
+    assert float(need) > harness.BATCH_BYTES
+    assert tail == f"bytes of draws and readout record, past BATCH_BYTES = {harness.BATCH_BYTES}"
+    assert peak < 1 << 20
+
+
 def test_non_finite_trials_abort_the_run(monkeypatch):
     real = retrodiction_schedule
 

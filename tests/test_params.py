@@ -47,13 +47,13 @@ def test_zero_point_momentum_scales_with_sqrt_mass():
 
 def test_zero_point_momentum_ignores_report_override():
     """The derived scale stays nominal even when the reported one is pinned."""
-    pinned = PARAMS.with_(p_zp_override=1.0e-23)
+    pinned = PARAMS.with_(p_zp_kev_c=0.0187)
     assert zero_point_momentum(pinned) == zero_point_momentum(PARAMS)
-    assert pinned.p_zp_report_si() == 1.0e-23
+    assert pinned.p_zp_report_kev_c() == 0.0187
 
 
 def test_report_override_default_is_7_92_kev_c():
-    assert PARAMS.p_zp_report_kev_c() == pytest.approx(7.92, rel=1e-12)
+    assert PARAMS.p_zp_report_kev_c() == 7.92
 
 
 @pytest.mark.parametrize("p_si", [1e-27, 4.55e-24, 3.3e-20, 7.0])
